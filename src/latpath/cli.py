@@ -2,7 +2,7 @@
 suites and OEIS lookups.
 
 Exit codes: 0 success, 1 verification failure, 2 path-budget exhaustion,
-3 internal consistency failure between computation routes.
+3 internal consistency failure between computation routes, 4 bad input.
 """
 
 from __future__ import annotations
@@ -21,10 +21,36 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_INCONSISTENT = 3
+EXIT_BAD_INPUT = 4
 
 DEFAULT_TABLE_N = {"dyck": 9, "motzkin": 9, "skew-dyck": 9, "skew-motzkin": 11}
 DEFAULT_PATTERN_LEN = {"dyck": 3, "motzkin": 2, "skew-dyck": 2, "skew-motzkin": 1}
 ORACLE_CAP = {"dyck": 8, "motzkin": 9, "skew-dyck": 6, "skew-motzkin": 9}
+
+
+class BadInput(Exception):
+    """A command-line value the library cannot act on; reported in one line."""
+
+
+def at_least(option: str, value, low: int):
+    """The option's value, unless it is set and below ``low``."""
+    if value is not None and value < low:
+        raise BadInput(f"{option} must be >= {low}, got {value}")
+    return value
+
+
+def parse_pattern(fam: Family, text: str) -> Pattern:
+    """A pattern over the family's alphabet."""
+    try:
+        pattern = Pattern(text)
+    except ValueError as exc:
+        raise BadInput(f"pattern {text!r}: {exc}") from None
+    if not set(pattern.steps) <= fam.alphabet:
+        raise BadInput(
+            f"pattern {text!r} uses steps outside the {fam.name} alphabet "
+            f"{''.join(sorted(fam.alphabet))}"
+        )
+    return pattern
 
 
 def all_patterns(fam: Family, max_len: int) -> list[str]:
@@ -93,12 +119,12 @@ def render_table(rows: list[dict], fam: Family, n: int, fmt: str) -> str:
 
 def cmd_table(args) -> int:
     fam = family_by_name(args.family)
-    n = args.n if args.n is not None else DEFAULT_TABLE_N[fam.name]
-    max_len = (
-        args.max_pattern_len
-        if args.max_pattern_len is not None
-        else DEFAULT_PATTERN_LEN[fam.name]
-    )
+    n = at_least("--n", args.n, 0)
+    if n is None:
+        n = DEFAULT_TABLE_N[fam.name]
+    max_len = at_least("--max-pattern-len", args.max_pattern_len, 1)
+    if max_len is None:
+        max_len = DEFAULT_PATTERN_LEN[fam.name]
     rows = build_table(fam, max_len, n, budget=args.budget)
     if args.verify_level != "none":
         if not verify_table_cells(fam, rows, n, budget=args.budget):
@@ -121,8 +147,11 @@ def render_bfile(values: list[int]) -> str:
 
 def cmd_series(args) -> int:
     fam = family_by_name(args.family)
-    order = args.order if args.order is not None else default_order(fam)
-    pattern = Pattern(args.pattern)
+    order = at_least("--order", args.order, 0)
+    if order is None:
+        order = default_order(fam)
+    at_least("--level", args.level, 0)
+    pattern = parse_pattern(fam, args.pattern)
     gf = class_gf(fam, pattern, order, budget=args.budget)
     levels = {k: gf.per_level[k].int_coeffs() for k in range(len(gf.per_level))}
     if args.level is not None:
@@ -302,7 +331,17 @@ def cmd_oeis(args) -> int:
     if args.mode == "off":
         print("(oeis lookups disabled)")
         return EXIT_OK
-    terms = [int(t) for t in args.from_series.replace(",", " ").split()]
+    try:
+        terms = [int(t) for t in args.from_series.replace(",", " ").split()]
+    except ValueError:
+        raise BadInput(
+            f"--from-series {args.from_series!r} is not a list of integers"
+        ) from None
+    if len(terms) < oeis_client.MIN_QUERY_TERMS:
+        raise BadInput(
+            f"--from-series needs at least {oeis_client.MIN_QUERY_TERMS} terms, "
+            f"got {len(terms)}"
+        )
     try:
         entries = oeis_client.lookup(terms, mode=args.mode, cache_path=args.cache)
     except oeis_client.NetworkUnavailable as exc:
@@ -383,6 +422,9 @@ def main(argv=None) -> int:
     except ConsistencyFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import enumerate as brute
 from .paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern
-from .series import Series, div, moebius, rational, sqrt
+from .series import Series, div, exact_quotient, moebius, rational, sqrt
 
 
 class GFError(Exception):
@@ -21,7 +21,8 @@ class GFError(Exception):
 
 
 class NoConvergence(GFError):
-    """The level iteration or fixed-point sweep failed to stabilize."""
+    """The level iteration did not terminate, or the quadratic's root is not
+    determined order by order (d(0) != 0)."""
 
 
 class NonUnitLinearCoefficient(GFError):
@@ -130,7 +131,8 @@ def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
     while not A_prev.is_zero() or k == spec.r:
         if k > order + spec.r + 2:
             raise NoConvergence(f"levels still nonzero after k={k}")
-        A_next = div(p * A_prev * (q + B), 1 - p * A_prev)
+        pA = p * A_prev
+        A_next = div(pA * (q + B), 1 - pA)
         if A_next.is_zero():
             break
         per_level.append(A_next)
@@ -143,24 +145,31 @@ def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
 def solve_quadratic(coeffs: MoebiusCoeffs, order: int) -> Series:
     """The unique series root of d*A^2 + (c - b)*A - a = 0.
 
-    Fixed-point sweeps A <- (a - d*A^2) / (c - b), seeded with the constant
-    a(0)/(c - b)(0); every sweep fixes at least one more coefficient
-    because d has positive valuation in all instances arising here.
+    One coefficient-by-coefficient pass of A = (a - d*A^2) / (c - b):
+    since d(0) = 0, [x^n](d*A^2) involves only A_0 .. A_{n-1}, whose
+    square is kept as a running coefficient list, so each step is O(n).
+    The root keeps the full order min(order, a, d, c - b), unlike the
+    quadratic formula, which loses the valuation of d.
     """
     cb = coeffs.c - coeffs.b
     if cb.coeffs[0] == 0:
         raise NonUnitLinearCoefficient("(c - b)(0) = 0")
+    if coeffs.d.coeffs[0] != 0:
+        raise NoConvergence("d(0) != 0: the root is not fixed order by order")
     order = min(order, coeffs.a.order, coeffs.d.order, cb.order)
-    a = coeffs.a.truncate(order)
-    d = coeffs.d.truncate(order)
-    cb = cb.truncate(order)
-    A = Series.constant(a.coeffs[0] / cb.coeffs[0], order)
-    for _ in range(order + 2):
-        nxt = div(a - d * A * A, cb)
-        if nxt == A:
-            return A
-        A = nxt
-    raise NoConvergence("quadratic fixed point did not stabilize")
+    a, d, e = coeffs.a.coeffs, coeffs.d.coeffs, cb.coeffs
+    A: list = []
+    sq: list = []  # sq[m] = [x^m](A^2), for m < len(A)
+    for n in range(order + 1):
+        acc = a[n]
+        for i in range(1, n + 1):
+            if d[i] != 0:
+                acc -= d[i] * sq[n - i]
+            if e[i] != 0:
+                acc -= e[i] * A[n - i]
+        A.append(exact_quotient(acc, e[0]))
+        sq.append(sum(A[j] * A[n - j] for j in range(n + 1)))
+    return Series(A)
 
 
 def residual(coeffs: MoebiusCoeffs, A: Series) -> Series:
@@ -173,6 +182,17 @@ def moebius_step(coeffs: MoebiusCoeffs, B_prev: Series) -> Series:
     return moebius(coeffs.a, coeffs.b, coeffs.c, coeffs.d, B_prev)
 
 
+def quadratic_root(coeffs: MoebiusCoeffs) -> Series:
+    """The quadratic formula (-(c - b) - sqrt((c - b)^2 + 4*a*d)) / (2*d).
+
+    The branch vanishing at x = 0 is the counting series.  The division
+    by 2*d lowers the order by the valuation of d.
+    """
+    cb = coeffs.c - coeffs.b
+    delta = cb * cb + 4 * coeffs.a * coeffs.d
+    return div(-cb - sqrt(delta), 2 * coeffs.d)
+
+
 def dyck_closed_form(
     u: Series, v: Series, order: int, var: Series | None = None
 ) -> Series:
@@ -182,69 +202,16 @@ def dyck_closed_form(
     "on the variable x squared" (u and v stay in the original variable),
     which yields the flat-step families.
     """
-    x = Series.x(order) if var is None else var.truncate(min(var.order, order))
-    u = u.truncate(min(u.order, order))
-    v = v.truncate(min(v.order, order))
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x2 * x2
-    delta = (
-        u * u * v * v * x4
-        + 2 * u * v * v * v * x4
-        + v * v * v * v * x4
-        - 2 * u * u * v * x3
-        - 2 * u * v * v * x3
-        - 3 * u * u * x2
-        - 6 * x2 * u * v
-        - 2 * x2 * v * v
-        - 2 * u * x
-        + 1
-    )
-    num = x2 * u * v + x2 * v * v - u * x + 1 - sqrt(delta)
-    den = 2 * x2 * (v + u)
-    return div(num, den)
+    p = Series.x(order) if var is None else var
+    return quadratic_root(moebius_coeffs(p, Series.zero(order), u, v))
 
 
 def skew_closed_form(
     u: Series, v: Series, order: int, var: Series | None = None
 ) -> Series:
     """Closed form for the arch-or-left decomposition (p = var, q = 1)."""
-    x = Series.x(order) if var is None else var.truncate(min(var.order, order))
-    u = u.truncate(min(u.order, order))
-    v = v.truncate(min(v.order, order))
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x2 * x2
-    delta = (
-        u * u * v * v * x4
-        + 2 * u * v * v * v * x4
-        + v * v * v * v * x4
-        + 2 * u * u * v * x4
-        + 6 * u * v * v * x4
-        + 4 * v * v * v * x4
-        - 2 * u * u * v * x3
-        + u * u * x4
-        - 2 * u * v * v * x3
-        + 6 * u * v * x4
-        + 6 * v * v * x4
-        - 2 * x3 * u * u
-        - 4 * u * v * x3
-        + 2 * u * x4
-        + 4 * v * x4
-        - 3 * u * u * x2
-        - 6 * u * v * x2
-        - 2 * u * x3
-        - 2 * v * v * x2
-        + x4
-        - 6 * x2 * u
-        - 4 * v * x2
-        - 2 * x * u
-        - 2 * x2
-        + 1
-    )
-    num = u * v * x2 + v * v * x2 - x2 * u - x * u - x2 + 1 - sqrt(delta)
-    den = 2 * x2 * (1 + v + u)
-    return div(num, den)
+    p = Series.x(order) if var is None else var
+    return quadratic_root(moebius_coeffs(p, Series.one(order), u, v))
 
 
 # -- closed-form base functions for two worked patterns -------------------

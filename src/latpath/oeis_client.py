@@ -107,17 +107,20 @@ def append_cache(path: Path, entries) -> None:
 
 
 def _http_transport(query: str) -> dict:
-    import requests
+    # Imported here, not at module level: urllib.request pulls in http.client,
+    # email and ssl, which would add to every CLI start-up.
+    import http.client
+    import urllib.parse
+    import urllib.request
 
+    url = SEARCH_URL + "?" + urllib.parse.urlencode({"q": query, "fmt": "json"})
     try:
-        resp = requests.get(
-            SEARCH_URL, params={"q": query, "fmt": "json"}, timeout=15
-        )
-        resp.raise_for_status()
-    except Exception as exc:
+        with urllib.request.urlopen(url, timeout=15) as resp:
+            body = resp.read()
+    except (OSError, http.client.HTTPException) as exc:
         raise NetworkUnavailable(str(exc)) from exc
     try:
-        return resp.json()
+        return json.loads(body)
     except ValueError as exc:
         raise MalformedResponse(f"not JSON: {exc}") from exc
 

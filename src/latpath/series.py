@@ -1,9 +1,11 @@
 """Truncated formal power series with exact rational coefficients.
 
 A series stores the coefficients of x^0 .. x^N for a fixed truncation
-order N.  All arithmetic is exact (``fractions.Fraction``); binary
-operations truncate the result to the minimum of the operand orders,
-never extending it silently.
+order N.  All arithmetic is exact: a coefficient is a plain ``int`` when
+it is integral and a ``fractions.Fraction`` only when it is not, so the
+integer series that every counting problem here produces never pay for
+rational arithmetic.  Binary operations truncate the result to the
+minimum of the operand orders, never extending it silently.
 """
 
 from __future__ import annotations
@@ -27,12 +29,23 @@ class NonSquareConstantTerm(SeriesError):
     """Square root of a series whose constant term is not a rational square."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _scalar(value) -> Scalar:
+    """An exact coefficient: an int when integral, else a Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def exact_quotient(num: Scalar, den: Scalar) -> Scalar:
+    """The exact quotient num/den: an int when den divides num, else a
+    Fraction (never the float that int / int would give)."""
+    if type(num) is int and type(den) is int:
+        q, rem = divmod(num, den)
+        if not rem:
+            return q
+    return _scalar(Fraction(num, den))
 
 
 class Series:
@@ -41,14 +54,14 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_scalar(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
             if len(cs) > order + 1:
                 cs = cs[: order + 1]
             else:
-                cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+                cs.extend([0] * (order + 1 - len(cs)))
         elif not cs:
             raise ValueError("empty coefficient list and no order given")
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -81,7 +94,7 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> Scalar:
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient x^{n} is beyond truncation order {self.order}")
         return self.coeffs[n]
@@ -150,7 +163,7 @@ class Series:
             return NotImplemented
         n = min(self.order, rhs.order)
         a, b = self.coeffs, rhs.coeffs
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(min(len(a) - 1, n) + 1):
             ai = a[i]
             if ai == 0:
@@ -243,13 +256,13 @@ def div(num: Series, den: Series) -> Series:
     a = num.coeffs[dval : n + 1]
     b = den.coeffs[dval : n + 1]
     lead = b[0]
-    q = [Fraction(0)] * (out_order + 1)
+    q = [0] * (out_order + 1)
     for k in range(out_order + 1):
-        acc = a[k] if k < len(a) else Fraction(0)
+        acc = a[k] if k < len(a) else 0
         for j in range(1, k + 1):
             if b[j] != 0:
                 acc -= b[j] * q[k - j]
-        q[k] = acc / lead
+        q[k] = exact_quotient(acc, lead)
     return Series(q)
 
 
@@ -268,15 +281,15 @@ def sqrt(s: Series) -> Series:
     rn, rd = isqrt(pn), isqrt(pd)
     if rn * rn != pn or rd * rd != pd:
         raise NonSquareConstantTerm(f"constant term {c0} is not a rational square")
-    r0 = Fraction(rn, rd)
+    r0 = exact_quotient(rn, rd)
     n = s.order
-    r = [Fraction(0)] * (n + 1)
+    r = [0] * (n + 1)
     r[0] = r0
     for k in range(1, n + 1):
         acc = s.coeffs[k]
         for j in range(1, k):
             acc -= r[j] * r[k - j]
-        r[k] = acc / (2 * r0)
+        r[k] = exact_quotient(acc, 2 * r0)
     return Series(r)
 
 

@@ -1,6 +1,6 @@
 import json
 
-from latpath.cli import EXIT_BUDGET, EXIT_OK, EXIT_VERIFY_FAILED, main
+from latpath.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
 def run(capsys, *argv):
@@ -186,3 +186,54 @@ class TestOeis:
         assert calls == ["network", "cache-only"]
         assert "warning" in err.lower()
         assert "no match" in out
+
+
+class TestBadInput:
+    def assert_one_line_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_negative_order(self, capsys):
+        err = self.assert_one_line_error(
+            capsys, "series", "--family", "dyck", "--pattern", "UUD", "--order", "-1",
+        )
+        assert "--order" in err
+
+    def test_unknown_step(self, capsys):
+        err = self.assert_one_line_error(
+            capsys, "series", "--family", "dyck", "--pattern", "UXD",
+        )
+        assert "UXD" in err
+
+    def test_step_outside_alphabet(self, capsys):
+        err = self.assert_one_line_error(
+            capsys, "series", "--family", "dyck", "--pattern", "F",
+        )
+        assert "dyck alphabet" in err
+
+    def test_negative_level(self, capsys):
+        err = self.assert_one_line_error(
+            capsys, "series", "--family", "dyck", "--pattern", "U", "--level", "-1",
+        )
+        assert "--level" in err
+
+    def test_negative_table_size(self, capsys):
+        err = self.assert_one_line_error(capsys, "table", "--family", "dyck", "--n", "-1")
+        assert "--n" in err
+
+    def test_empty_pattern_length(self, capsys):
+        err = self.assert_one_line_error(
+            capsys, "table", "--family", "dyck", "--max-pattern-len", "0",
+        )
+        assert "--max-pattern-len" in err
+
+    def test_non_integer_oeis_term(self, capsys):
+        err = self.assert_one_line_error(capsys, "oeis", "--from-series", "1,2,x,4,5,6")
+        assert "--from-series" in err
+
+    def test_too_few_oeis_terms(self, capsys):
+        err = self.assert_one_line_error(capsys, "oeis", "--from-series", "1,2,3")
+        assert "at least 6" in err

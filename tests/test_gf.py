@@ -13,6 +13,7 @@ from latpath.gf import (
     dyck_uud_bases,
     iterate_system,
     moebius_step,
+    quadratic_root,
     residual,
     skew_closed_form,
     solve_quadratic,
@@ -224,3 +225,31 @@ class TestClassGF:
         for k in range(len(g.per_level)):
             acc = acc + g.level(k)
         assert acc == g.A
+
+
+class TestOnePassQuadratic:
+    @pytest.mark.parametrize(
+        "pi, bases", [("UUD", dyck_uud_bases), ("DUU", dyck_duu_bases)]
+    )
+    def test_equals_iteration_at_order_100(self, pi, bases):
+        order = 100
+        spec = system_for(DYCK, Pattern(pi), order, bases=bases(order))
+        coeffs = moebius_coeffs(spec.p, spec.q, spec.u, spec.v)
+        quad = solve_quadratic(coeffs, order)
+        assert quad.order == order
+        assert quad == iterate_system(spec, order).A
+        assert all(type(c) is int for c in quad.coeffs)
+
+    def test_keeps_full_order_where_the_formula_loses_val_d(self):
+        order = 10
+        u, v = Series.zero(order), Series.one(order)
+        coeffs = moebius_coeffs(Series.x(order), Series.zero(order), u, v)
+        assert solve_quadratic(coeffs, order).order == order
+        assert quadratic_root(coeffs).order == order - coeffs.d.valuation()
+
+    def test_order_capped_by_coefficients(self):
+        order = 8
+        coeffs = moebius_coeffs(
+            Series.x(order), Series.zero(order), Series.zero(5), Series.one(order)
+        )
+        assert solve_quadratic(coeffs, order).order == 5

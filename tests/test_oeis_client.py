@@ -1,4 +1,7 @@
+import io
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -6,6 +9,7 @@ from latpath.oeis_client import (
     MalformedResponse,
     NetworkUnavailable,
     OeisEntry,
+    _http_transport,
     append_cache,
     contains_run,
     load_fixtures,
@@ -176,3 +180,33 @@ class TestEntryValidation:
             OeisEntry("A12345", (1,))
         with pytest.raises(ValueError):
             OeisEntry("A123456", ())
+
+
+class TestHttpTransport:
+    """The urllib transport, with ``urlopen`` replaced: no request leaves."""
+
+    def test_query_url_and_timeout(self, monkeypatch):
+        seen = []
+
+        def fake_urlopen(url, timeout):
+            seen.append((url, timeout))
+            return io.BytesIO(b'{"results": []}')
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        assert _http_transport("1,2,4,9") == {"results": []}
+        assert seen == [("https://oeis.org/search?q=1%2C2%2C4%2C9&fmt=json", 15)]
+
+    def test_unreachable_maps_to_network_unavailable(self, monkeypatch):
+        def fake_urlopen(url, timeout):
+            raise urllib.error.URLError("no route")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        with pytest.raises(NetworkUnavailable):
+            _http_transport("1,2,4,9")
+
+    def test_non_json_maps_to_malformed_response(self, monkeypatch):
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"<html>")
+        )
+        with pytest.raises(MalformedResponse):
+            _http_transport("1,2,4,9")

@@ -166,3 +166,66 @@ def test_truncation_commutes_with_ring_ops(a, b, m):
     assert (a + b).truncate(m) == am + bm
     assert (a - b).truncate(m) == am - bm
     assert (a * b).truncate(m) == am * bm
+
+
+def exact_and_normal(s):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in s.coeffs
+    )
+
+
+class TestRepresentation:
+    def test_integral_inputs_stay_int(self):
+        s = Series([Fraction(3), Fraction(4, 2), 5], 4)
+        assert all(type(c) is int for c in s.coeffs)
+        assert s.coeffs == (3, 2, 5, 0, 0)
+
+    def test_integral_results_are_int(self):
+        g = geometric(8)
+        results = [
+            g * g,
+            g + g,
+            g - 1,
+            div(Series([0, 1, 1], 8), Series([0, 1], 8)),
+            sqrt(Series([1, -4], 8)),
+            moebius(g, Series.x(8), Series.one(8), Series.x(8), g),
+        ]
+        for s in results:
+            assert all(type(c) is int for c in s.coeffs), s
+
+    def test_fraction_results_are_fraction_only_when_not_integral(self):
+        half = div(Series.one(3), Series([2], 3))
+        assert half.coeffs[0] == Fraction(1, 2) and type(half.coeffs[0]) is Fraction
+        root = sqrt(Series([4, 1], 3))
+        assert type(root.coeffs[0]) is int and root.coeffs[1] == Fraction(1, 4)
+        assert exact_and_normal(half) and exact_and_normal(root)
+        assert type((half * 2).coeffs[0]) is int
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            Series([0.5], 2)
+
+
+mixed_st = st.one_of(st.integers(min_value=-5, max_value=5), fractions_st)
+
+
+def mixed_series_st(order=8):
+    return st.builds(
+        lambda cs: Series(cs), st.lists(mixed_st, min_size=order + 1, max_size=order + 1)
+    )
+
+
+@given(a=mixed_series_st(), b=mixed_series_st())
+@settings(max_examples=120)
+def test_mixed_coefficients_never_float(a, b):
+    results = [a, b, a + b, a - b, a * b, -a]
+    if b.valuation() is not None:
+        results.append(div(a * b, b))
+    if b.coeffs[0] != 0:
+        results.append(div(a, b))
+    if a.coeffs[0] > 0:
+        results.append(sqrt(a * a))
+    for s in results:
+        assert exact_and_normal(s)
