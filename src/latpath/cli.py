@@ -39,6 +39,15 @@ def at_least(option: str, value, low: int):
     return value
 
 
+def path_budget(value):
+    """The exhaustive oracle's path budget: the option's value, else the
+    environment's, else the default."""
+    try:
+        return brute.effective_budget(at_least("--budget", value, 0))
+    except ValueError as exc:
+        raise BadInput(str(exc)) from None
+
+
 def parse_pattern(fam: Family, text: str) -> Pattern:
     """A pattern over the family's alphabet."""
     try:
@@ -68,13 +77,13 @@ def pattern_key(pi: str):
 # -- table ----------------------------------------------------------------
 
 
-def build_table(fam: Family, max_len: int, n: int, budget=None) -> list[dict]:
+def build_table(fam: Family, max_len: int, n: int) -> list[dict]:
     """One row per group of patterns sharing a coefficient sequence."""
     pats = sorted(all_patterns(fam, max_len), key=pattern_key)
-    brute.precompute_base(fam, pats, n, budget=budget)
+    brute.precompute_base(fam, pats, n)
     groups: dict = {}
     for pi in pats:
-        gf = class_gf(fam, Pattern(pi), n, budget=budget)
+        gf = class_gf(fam, Pattern(pi), n)
         values = tuple(gf.A.int_coeffs()[1 : n + 1])
         groups.setdefault(values, []).append(pi)
     rows = [
@@ -125,9 +134,10 @@ def cmd_table(args) -> int:
     max_len = at_least("--max-pattern-len", args.max_pattern_len, 1)
     if max_len is None:
         max_len = DEFAULT_PATTERN_LEN[fam.name]
-    rows = build_table(fam, max_len, n, budget=args.budget)
+    budget = path_budget(args.budget)
+    rows = build_table(fam, max_len, n)
     if args.verify_level != "none":
-        if not verify_table_cells(fam, rows, n, budget=args.budget):
+        if not verify_table_cells(fam, rows, n, budget=budget):
             print("table cells disagree with the exhaustive oracle", file=sys.stderr)
             return EXIT_INCONSISTENT
     sys.stdout.write(render_table(rows, fam, n, args.format))
@@ -152,7 +162,7 @@ def cmd_series(args) -> int:
         order = default_order(fam)
     at_least("--level", args.level, 0)
     pattern = parse_pattern(fam, args.pattern)
-    gf = class_gf(fam, pattern, order, budget=args.budget)
+    gf = class_gf(fam, pattern, order)
     levels = {k: gf.per_level[k].int_coeffs() for k in range(len(gf.per_level))}
     if args.level is not None:
         values = gf.level(args.level).int_coeffs()
@@ -311,6 +321,7 @@ def _verification_checks(level: str, corrupt_base: bool):
 
 
 def cmd_verify(args) -> int:
+    path_budget(None)  # a malformed LATPATH_BUDGET is bad input, not a failed check
     failures = 0
     for name, thunk in _verification_checks(args.level, args.corrupt_base):
         try:
@@ -378,7 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-level", choices=["none", "cross"], default="none",
         help="cross: recheck every printed cell against the exhaustive oracle",
     )
-    p_table.add_argument("--budget", type=int, default=None)
+    p_table.add_argument(
+        "--budget", type=int, default=None,
+        help="path budget of the exhaustive oracle behind --verify-level cross",
+    )
     p_table.set_defaults(func=cmd_table)
 
     p_series = sub.add_parser("series", help="print coefficients of one class")
@@ -389,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--format", choices=["text", "b-file", "json", "csv"], default="text"
     )
-    p_series.add_argument("--budget", type=int, default=None)
     p_series.set_defaults(func=cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suites")

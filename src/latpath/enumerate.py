@@ -1,10 +1,13 @@
-"""Exhaustive-search oracle for the pattern-height path classes.
+"""Exhaustive-search oracle for the pattern-height path classes, and the
+anchor levels that the generating functions start from.
 
-Generates every valid path of a family size by size (pruned backtracking,
-deterministic lexicographic order), decides class membership directly from
-the first-return recurrence condition, and tabulates exact counts by size
-and by pattern-height level.  Deliberately independent of the generating
-function machinery so the two routes can cross-validate each other.
+The oracle generates every valid path of a family size by size (pruned
+backtracking, deterministic lexicographic order), decides class membership
+directly from the first-return recurrence condition, and tabulates exact
+counts by size and by pattern-height level.  The anchor levels
+(``base_series``) are counted by the first-return grammar DP of
+``latpath.grammar`` instead, which walks no path, so the oracle and the
+series route cross-validate each other independently.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from .paths import (
     Family,
     Path,
     Pattern,
-    _decompose,
     _pattern_height,
     _prefix_extrema,
     _steps_of,
@@ -30,7 +32,6 @@ BUDGET_ENV_VAR = "LATPATH_BUDGET"
 _CACHE_LIMIT = 300_000  # materialize path lists only below this many paths
 
 _string_cache: dict = {}
-_level_cache: dict = {}
 _member_memo: dict = {}
 
 
@@ -39,18 +40,28 @@ class BudgetExceeded(Exception):
 
 
 def effective_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    """The path budget: the argument, else ``LATPATH_BUDGET``, else the
+    default.  Raises ValueError for a negative budget or a non-integer
+    environment value."""
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
+    if budget < 0:
+        raise ValueError(f"the path budget must be >= 0, got {budget}")
+    return budget
 
 
 def clear_caches() -> None:
+    from .grammar import base_levels
+
     _string_cache.clear()
-    _level_cache.clear()
     _member_memo.clear()
+    base_levels.cache_clear()
 
 
 class _Budget:
@@ -74,117 +85,139 @@ def _walk(fam: Family, size: int, visit, budget: _Budget) -> None:
     the live ordinate profile (length + 1 ints; do not retain it).  Children
     are explored in lexicographic step order (D < F < L < U), so paths are
     visited in lexicographic order.  The U/L overlap rule is enforced
-    during generation by tracking traversed diagonal segments.
+    during generation as a ban on the factors UL and LU (see
+    ``paths.validate``).
     """
     total = fam.step_count(size)
     has_f = "F" in fam.alphabet
     has_l = "L" in fam.alphabet
     chars: list[str] = []
     prof = [0]
-    useg: set = set()
-    lseg: set = set()
 
-    def rec(t: int, x: int, y: int) -> None:
+    def rec(t: int, y: int, last: str) -> None:
         if t == total:
             if y == 0:
                 budget.spend()
                 visit("".join(chars), prof)
             return
         rem1 = total - t - 1
-        if y >= 1 and (has_f or (rem1 - (y - 1)) % 2 == 0):
+        down = y >= 1 and (has_f or (rem1 - (y - 1)) % 2 == 0)
+        if down:
             chars.append("D")
             prof.append(y - 1)
-            rec(t + 1, x + 1, y - 1)
+            rec(t + 1, y - 1, "D")
             chars.pop()
             prof.pop()
         if has_f and y <= rem1:
             chars.append("F")
             prof.append(y)
-            rec(t + 1, x + 1, y)
+            rec(t + 1, y, "F")
             chars.pop()
             prof.pop()
-        if has_l and y >= 1 and (has_f or (rem1 - (y - 1)) % 2 == 0):
-            key = ((x - 1) << 8) | (y - 1)
-            if key not in useg:
-                lseg.add(key)
-                chars.append("L")
-                prof.append(y - 1)
-                rec(t + 1, x - 1, y - 1)
-                chars.pop()
-                prof.pop()
-                lseg.discard(key)
-        if y + 1 <= rem1 and (has_f or (rem1 - (y + 1)) % 2 == 0):
-            ok = True
-            if has_l:
-                key = (x << 8) | y
-                if key in lseg:
-                    ok = False
-                else:
-                    useg.add(key)
-            if ok:
-                chars.append("U")
-                prof.append(y + 1)
-                rec(t + 1, x + 1, y + 1)
-                chars.pop()
-                prof.pop()
-                if has_l:
-                    useg.discard(key)
-    rec(0, 0, 0)
+        if has_l and down and last != "U":
+            chars.append("L")
+            prof.append(y - 1)
+            rec(t + 1, y - 1, "L")
+            chars.pop()
+            prof.pop()
+        if y + 1 <= rem1 and (has_f or (rem1 - (y + 1)) % 2 == 0) and last != "L":
+            chars.append("U")
+            prof.append(y + 1)
+            rec(t + 1, y + 1, "U")
+            chars.pop()
+            prof.pop()
+
+    rec(0, 0, "")
 
 
-def _path_strings(fam: Family, size: int, budget: _Budget) -> list[str]:
+def _each_path(fam: Family, size: int, budget: _Budget, visit) -> None:
+    """``visit(steps, prof)`` on every path of the size, from the path-list
+    cache when it holds the size, else from a walk that fills the cache for
+    sizes of at most ``_CACHE_LIMIT`` paths."""
     key = (fam.name, size)
     cached = _string_cache.get(key)
     if cached is not None:
-        return cached
+        for s in cached:
+            visit(s, profile(s))
+        return
     out: list[str] = []
-    _walk(fam, size, lambda s, prof: out.append(s), budget)
+
+    def keep(s: str, prof) -> None:
+        if len(out) <= _CACHE_LIMIT:
+            out.append(s)
+        visit(s, prof)
+
+    _walk(fam, size, keep, budget)
     if len(out) <= _CACHE_LIMIT:
         _string_cache[key] = out
-    return out
 
 
 def generate_paths(family: Family, size: int, budget: int | None = None) -> list[Path]:
     """All valid paths of the family with the given size, lexicographic order."""
     if size < 0:
         raise ValueError("size must be >= 0")
-    strings = _path_strings(family, size, _Budget(effective_budget(budget)))
-    return [Path(s, family) for s in strings]
+    out: list[Path] = []
+    _each_path(
+        family, size, _Budget(effective_budget(budget)),
+        lambda s, prof: out.append(Path(s, family)),
+    )
+    return out
 
 
 # -- membership (recurrence condition on the first-return decomposition) --
 
 
-def _ph(s: str, pi: str, mp: int) -> int:
-    return _pattern_height(s, profile(s), pi, mp)
+def _height(s: str, prof, pi: str, mp: int, lo: int, hi: int) -> int:
+    # Pattern height of the sub-path s[lo:hi], which starts on the axis.
+    best = -1
+    i = s.find(pi, lo, hi)
+    while i >= 0:
+        if prof[i] > best:
+            best = prof[i]
+        i = s.find(pi, i + 1, hi)
+    return 0 if best < 0 else best + mp
 
 
-def _is_member(s: str, fam: Family, pi: str, mp: int, memo: dict) -> bool:
-    if not s:
+def _component(s: str, prof, pi: str, mp: int, memo: dict, lo: int, hi: int, base: int) -> bool:
+    # Membership of the sub-path s[lo:hi], which starts at ordinate base;
+    # its own profile is built only when the memo misses.
+    if lo == hi:
         return True
+    t = s[lo:hi]
+    hit = memo.get(t)
+    if hit is None:
+        sub = prof[lo : hi + 1]
+        if base:
+            sub = [y - base for y in sub]
+        hit = _is_member(t, sub, pi, mp, memo)
+    return hit
+
+
+def _is_member(s: str, prof, pi: str, mp: int, memo: dict) -> bool:
+    # s is a nonempty path and prof its ordinate profile.
     hit = memo.get(s)
     if hit is not None:
         return hit
-    variant, alpha, beta, gamma = _decompose(s)
-    if variant == "UaDb":
-        head = s[: len(alpha) + 2]
-        ok = (
-            _ph(head, pi, mp) >= _ph(beta, pi, mp)
-            and _is_member(alpha, fam, pi, mp, memo)
-            and _is_member(beta, fam, pi, mp, memo)
+    n = len(s)
+    j = prof.index(0, 1)  # the first return to the axis
+    if s[0] == "F":  # F g: h(F) = 0 >= h(g)
+        ok = _height(s, prof, pi, mp, 1, n) == 0 and _component(
+            s, prof, pi, mp, memo, 1, n, 0
         )
-    elif variant == "Fg":
-        ok = _ph("F", pi, mp) >= _ph(gamma, pi, mp) and _is_member(
-            gamma, fam, pi, mp, memo
-        )
-    elif variant == "UaL":
-        ok = bool(alpha) and _is_member(alpha, fam, pi, mp, memo)
-    else:  # UaLFg
+    elif s[j - 1] == "D":  # U a D b: h(U a D) >= h(b)
         ok = (
-            bool(alpha)
-            and _ph("F", pi, mp) >= _ph(gamma, pi, mp)
-            and _is_member(alpha, fam, pi, mp, memo)
-            and _is_member(gamma, fam, pi, mp, memo)
+            _height(s, prof, pi, mp, 0, j) >= _height(s, prof, pi, mp, j, n)
+            and _component(s, prof, pi, mp, memo, 1, j - 1, 1)
+            and _component(s, prof, pi, mp, memo, j, n, 0)
+        )
+    elif j == n:  # U a L, a nonempty
+        ok = j > 2 and _component(s, prof, pi, mp, memo, 1, j - 1, 1)
+    else:  # U a L F g, a nonempty: h(F) = 0 >= h(g)
+        ok = (
+            j > 2
+            and _height(s, prof, pi, mp, j + 1, n) == 0
+            and _component(s, prof, pi, mp, memo, 1, j - 1, 1)
+            and _component(s, prof, pi, mp, memo, j + 1, n, 0)
         )
     memo[s] = ok
     return ok
@@ -206,9 +239,12 @@ def is_member(path: Path, pattern: Pattern) -> bool:
     family's height condition must hold (e.g. h(U alpha D) >= h(beta)
     for the arch variant, evaluated on the indicated sub-paths).
     """
+    s = path.steps
+    if not s:
+        return True
     pi = _steps_of(pattern)
     mp = _prefix_extrema(pi)[0]
-    return _is_member(path.steps, path.family, pi, mp, _memo_for(path.family, pi))
+    return _is_member(s, profile(s), pi, mp, _memo_for(path.family, pi))
 
 
 # -- per-level counting --------------------------------------------------
@@ -246,11 +282,13 @@ def count_class(
     b = _Budget(effective_budget(budget))
     counts: dict = {}
     for n in range(max_size + 1):
-        for s in _path_strings(family, n, b):
-            if _is_member(s, family, pi, mp, memo):
-                k = _ph(s, pi, mp)
-                key = (n, k)
+
+        def tally(s: str, prof) -> None:
+            if not s or _is_member(s, prof, pi, mp, memo):
+                key = (n, _pattern_height(s, prof, pi, mp))
                 counts[key] = counts.get(key, 0) + 1
+
+        _each_path(family, n, b, tally)
     return ClassCountTable(family, Pattern(pi), max_size, counts)
 
 
@@ -261,112 +299,47 @@ def member_paths(
     pi = _steps_of(pattern)
     mp = _prefix_extrema(pi)[0]
     memo = _memo_for(family, pi)
-    b = _Budget(effective_budget(budget))
-    return [
-        Path(s, family)
-        for s in _path_strings(family, size, b)
-        if _is_member(s, family, pi, mp, memo)
-    ]
+    out: list[Path] = []
+
+    def keep(s: str, prof) -> None:
+        if not s or _is_member(s, prof, pi, mp, memo):
+            out.append(Path(s, family))
+
+    _each_path(family, size, _Budget(effective_budget(budget)), keep)
+    return out
 
 
-def _classify_levels(fam: Family, pats: list, levels: list, s: str, prof) -> None:
-    # pats[i] = (pi, mp, cap_start, memo); levels[i] = per-size dict
-    # level -> count.  An occurrence starting at ordinate prof[i] has
-    # height prof[i] + mp, so the path's level is mp + max occurrence
-    # start (0 if the pattern does not occur).  Only the anchor levels
-    # 0..max(amplitude, 1) are tabulated: the scan aborts as soon as a
-    # start exceeds cap_start.  Level-0 paths are members outright, so
-    # the membership recursion runs only on level >= 1 candidates.
-    for idx, (pi, mp, cap_start, memo) in enumerate(pats):
-        i = s.find(pi)
-        if i < 0:
-            bucket = levels[idx]
-            bucket[0] = bucket.get(0, 0) + 1
-            continue
-        top = 0
-        while i >= 0:
-            y = prof[i]
-            if y > cap_start:
-                top = -1
-                break
-            if y > top:
-                top = y
-            i = s.find(pi, i + 1)
-        if top < 0:
-            continue
-        level = mp + top
-        if level == 0 or _is_member(s, fam, pi, mp, memo):
-            bucket = levels[idx]
-            bucket[level] = bucket.get(level, 0) + 1
+# -- anchor levels ----------------------------------------------------------
 
 
-def ensure_levels(
-    family: Family, patterns, max_size: int, budget: int | None = None
-) -> None:
-    """Warm the base-level cache for a batch of patterns up to max_size.
-
-    The anchor levels 0..max(amplitude, 1) are tabulated in one
-    enumeration sweep per path size, shared across all patterns that
-    still miss that size.  Paths at level 0 are members outright (an
-    avoider satisfies every height condition with 0 >= 0; for all-flat
-    patterns any path whose occurrences sit on the axis does too), so
-    the membership recursion runs only on the thin level >= 1 candidates.
-    """
-    b = _Budget(effective_budget(budget))
-    metas = []
-    for pattern in patterns:
-        pi = _steps_of(pattern)
-        mx, mn = _prefix_extrema(pi)
-        cap = max(mx - mn, 1)
-        store = _level_cache.setdefault((family.name, pi), {})
-        metas.append((pi, mx, cap - mx, _memo_for(family, pi), store))
-    for n in range(max_size + 1):
-        pending = [m for m in metas if n not in m[4]]
-        if not pending:
-            continue
-        pats = [(pi, mp, cap_start, memo) for (pi, mp, cap_start, memo, _st) in pending]
-        levels: list[dict] = [{} for _ in pending]
-        cached = _string_cache.get((family.name, n))
-        if cached is not None:
-            for s in cached:
-                _classify_levels(family, pats, levels, s, profile(s))
-        else:
-            _walk(
-                family,
-                n,
-                lambda s, prof: _classify_levels(family, pats, levels, s, prof),
-                b,
-            )
-        for meta, bucket in zip(pending, levels):
-            meta[4][n] = bucket
-
-
-def base_series(
-    family: Family,
-    pattern: Pattern,
-    k: int,
-    order: int,
-    budget: int | None = None,
-) -> Series:
+def base_series(family: Family, pattern: Pattern, k: int, order: int) -> Series:
     """Generating function of the level-k members, truncated at the order.
 
     Level 0 collects the paths with no occurrence above the axis (constant
     term 1: the empty path); level amplitude collects the members whose
     occurrences all touch the axis; levels strictly between are empty.
     For all-flat patterns (amplitude 0) level 1 is also available, since
-    the level recurrence is anchored one step higher there.
+    the level recurrence is anchored one step higher there.  The counts
+    come from the first-return grammar DP (``latpath.grammar``), one run
+    per family, pattern and order for all anchor levels.
     """
     pi = _steps_of(pattern)
     r = max(Pattern(pi).amplitude, 1)
     if k < 0 or k > r:
         raise ValueError(f"level {k} outside the anchor range 0..{r}")
-    ensure_levels(family, [pi], order, budget)
-    store = _level_cache[(family.name, pi)]
-    return Series([store[n].get(k, 0) for n in range(order + 1)])
+    return Series(list(_base_levels(family, pi, order)[k]))
 
 
-def precompute_base(
-    family: Family, patterns, order: int, budget: int | None = None
-) -> None:
-    """Public batch warm-up so per-pattern calls hit a warm cache."""
-    ensure_levels(family, patterns, order, budget)
+def precompute_base(family: Family, patterns, order: int) -> None:
+    """Batch warm-up so per-pattern ``base_series`` calls hit a warm cache."""
+    for pattern in patterns:
+        _base_levels(family, _steps_of(pattern), order)
+
+
+def _base_levels(family: Family, pi: str, order: int) -> tuple:
+    # Imported on first use: a process that never counts bases (say, one
+    # that passes its own) does not compile the grammar module, which
+    # costs about 3 ms when bytecode is not cached.
+    from .grammar import base_levels
+
+    return base_levels(family, pi, order)

@@ -260,19 +260,19 @@ def system_for(
     pattern: Pattern,
     order: int,
     bases: tuple | None = None,
-    budget: int | None = None,
 ) -> SystemSpec:
     """Build the level system for a family/pattern instance.
 
     p is x for the semilength families and x^2 for the step-count ones;
     q is 0, 1 (arch-or-left) or x*A_0 + 1 (the four-variant family).  The
-    bases come from the exhaustive oracle unless supplied explicitly.
+    bases come from the first-return grammar DP (``enumerate.base_series``)
+    unless supplied explicitly.
 
     The system is anchored at level max(amplitude, 1): the recurrence for
     level k needs the head of an arch to contain the pattern, which level
     k - 1 only guarantees for k - 1 >= 1.  For patterns of positive
     amplitude that is the usual anchor; for all-flat patterns level 1 is
-    tabulated by the oracle as well.
+    counted as well.
     """
     if not set(pattern.steps) <= family.alphabet:
         raise ValueError(
@@ -281,7 +281,7 @@ def system_for(
     r = max(pattern.amplitude, 1)
     if bases is None:
         bases = tuple(
-            brute.base_series(family, pattern, k, order, budget) for k in range(r + 1)
+            brute.base_series(family, pattern, k, order) for k in range(r + 1)
         )
     else:
         bases = tuple(s.truncate(min(s.order, order)) for s in bases)
@@ -306,7 +306,6 @@ def class_gf(
     order: int,
     bases: tuple | None = None,
     check: bool = True,
-    budget: int | None = None,
 ) -> ClassGF:
     """Total and per-level series for one family/pattern class.
 
@@ -321,7 +320,7 @@ def class_gf(
         r = max(pattern.amplitude, 1)
         if bases is None:
             bases = tuple(
-                brute.base_series(family, pattern, k, 0, budget) for k in range(r + 1)
+                brute.base_series(family, pattern, k, 0) for k in range(r + 1)
             )
         else:
             bases = tuple(s.truncate(0) for s in bases)
@@ -332,7 +331,7 @@ def class_gf(
         for s in bases[:-1]:
             v = v + s
         return ClassGF(family, pattern, bases[-1], v, total, tuple(bases))
-    spec = system_for(family, pattern, order, bases=bases, budget=budget)
+    spec = system_for(family, pattern, order, bases=bases)
     result = iterate_system(spec, order)
     if check:
         coeffs = moebius_coeffs(spec.p, spec.q, spec.u, spec.v)

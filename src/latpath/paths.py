@@ -4,9 +4,9 @@ Steps are single characters: ``U`` = (1, 1), ``D`` = (1, -1), ``F`` = (1, 0)
 and ``L`` = (-1, -1); a path is a string of steps.  Paths live in the
 quarter plane, start at the origin, end on the x-axis and never dip below
 it; in families with left steps, no diagonal unit segment may be traversed
-by both an up step and a left step.  (The x-coordinate never needs
-checking: every step keeps x - y non-decreasing, so x >= y >= 0 holds
-automatically.)
+by both an up step and a left step, which is the same as a ban on the
+factors UL and LU.  (The x-coordinate never needs checking: every step
+keeps x - y non-decreasing, so x >= y >= 0 holds automatically.)
 """
 
 from __future__ import annotations
@@ -80,43 +80,26 @@ def profile(steps: str) -> list[int]:
 
 
 def validate(steps, fam: Family) -> bool:
-    """True iff the steps form a valid path of the family."""
+    """True iff the steps form a valid path of the family.
+
+    A diagonal segment is traversed by both an up step and a left step
+    exactly when the steps contain the factor UL or LU.  Between two such
+    traversals the walk closes a loop; D and F raise x - y and no step
+    lowers it, so the run from the one traversal to the other holds only
+    U and L steps, begins with one kind and ends with the other, and so
+    has a U next to an L.
+    """
     s = _steps_of(steps)
-    x = y = 0
-    useg = set()
-    lseg = set()
-    check_overlap = "L" in fam.alphabet
-    alphabet = fam.alphabet
-    for ch in s:
-        if ch not in alphabet:
-            return False
-        if ch == "U":
-            if check_overlap:
-                key = (x, y)
-                if key in lseg:
-                    return False
-                useg.add(key)
-            x += 1
-            y += 1
-        elif ch == "D":
-            x += 1
-            y -= 1
-        elif ch == "F":
-            x += 1
-        else:  # L
-            key = (x - 1, y - 1)
-            if key in useg:
-                return False
-            lseg.add(key)
-            x -= 1
-            y -= 1
-        if y < 0:
-            return False
-    if y != 0:
+    if not set(s) <= fam.alphabet or "UL" in s or "LU" in s:
         return False
     if fam.semilength and len(s) % 2:
         return False
-    return True
+    y = 0
+    for ch in s:
+        y += DISPLACEMENT[ch][1]
+        if y < 0:
+            return False
+    return y == 0
 
 
 @dataclass(frozen=True)

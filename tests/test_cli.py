@@ -63,6 +63,7 @@ class TestTable:
         brute.clear_caches()
         code, _, err = run(
             capsys, "table", "--family", "skew-dyck", "--n", "8", "--budget", "50",
+            "--verify-level", "cross",
         )
         assert code == EXIT_BUDGET
         assert "budget" in err.lower()
@@ -237,3 +238,17 @@ class TestBadInput:
     def test_too_few_oeis_terms(self, capsys):
         err = self.assert_one_line_error(capsys, "oeis", "--from-series", "1,2,3")
         assert "at least 6" in err
+
+    def test_malformed_budget_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATPATH_BUDGET", "abc")
+        err = self.assert_one_line_error(
+            capsys, "table", "--family", "dyck", "--n", "3", "--verify-level", "cross",
+        )
+        assert "LATPATH_BUDGET" in err
+
+    def test_negative_budget(self, capsys):
+        err = self.assert_one_line_error(
+            capsys, "table", "--family", "dyck", "--n", "3", "--verify-level", "cross",
+            "--budget", "-5",
+        )
+        assert "--budget" in err

@@ -51,6 +51,15 @@ class TestGeneratePaths:
         with pytest.raises(BudgetExceeded):
             generate_paths(DYCK, 8, budget=100)
 
+    def test_bad_budgets(self, monkeypatch):
+        from latpath.enumerate import effective_budget
+
+        with pytest.raises(ValueError):
+            effective_budget(-1)
+        monkeypatch.setenv("LATPATH_BUDGET", "abc")
+        with pytest.raises(ValueError, match="LATPATH_BUDGET"):
+            effective_budget()
+
     def test_budget_env_override(self, monkeypatch):
         from latpath.enumerate import effective_budget
 
@@ -149,3 +158,16 @@ class TestBaseSeries:
         got = base_series(MOTZKIN, Pattern("UD"), 0, 7)
         fresh = count_class(MOTZKIN, Pattern("UD"), 7)
         assert got.int_coeffs() == fresh.level(0)
+
+    def test_bases_walk_no_path(self, monkeypatch):
+        # the bases spend no path budget, so a cold call succeeds under a
+        # budget far below the paths of the sizes and equals a warm one
+        from latpath import enumerate as brute
+        from latpath.gf import class_gf
+
+        monkeypatch.setenv("LATPATH_BUDGET", "1000")
+        brute.clear_caches()
+        cold = class_gf(DYCK, Pattern("UUD"), 10)
+        warm = class_gf(DYCK, Pattern("UUD"), 10)
+        assert cold.A == warm.A and cold.per_level == warm.per_level
+        assert cold.A.int_coeffs()[1:] == [1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]

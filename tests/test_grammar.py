@@ -1,0 +1,88 @@
+"""The first-return grammar DP that counts the anchor levels, checked
+against the exhaustive oracle and against the closed-form bases."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latpath.cli import ORACLE_CAP
+from latpath.enumerate import base_series, count_class
+from latpath.gf import dyck_duu_bases, dyck_uud_bases
+from latpath.paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Pattern
+
+from reference_tables import (
+    DYCK_ROWS,
+    MOTZKIN_ROWS,
+    SKEW_DYCK_ROWS,
+    SKEW_MOTZKIN_ROWS,
+    patterns_of,
+)
+
+FAMILIES = [DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN]
+
+
+def assert_levels_match_oracle(family, pi):
+    cap = ORACLE_CAP[family.name]
+    pattern = Pattern(pi)
+    oracle = count_class(family, pattern, cap)
+    for k in range(max(pattern.amplitude, 1) + 1):
+        assert base_series(family, pattern, k, cap).int_coeffs() == oracle.level(k), (
+            family.name, pi, k,
+        )
+
+
+@pytest.mark.parametrize(
+    "family,pi",
+    [
+        (family, pi)
+        for family, rows in (
+            (DYCK, DYCK_ROWS),
+            (MOTZKIN, MOTZKIN_ROWS),
+            (SKEW_DYCK, SKEW_DYCK_ROWS),
+            (SKEW_MOTZKIN, SKEW_MOTZKIN_ROWS),
+        )
+        for pi in patterns_of(rows)
+    ],
+)
+def test_reference_patterns_match_oracle(family, pi):
+    assert_levels_match_oracle(family, pi)
+
+
+@st.composite
+def family_and_pattern(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    steps = st.sampled_from(sorted(family.alphabet))
+    return family, "".join(draw(st.lists(steps, min_size=1, max_size=4)))
+
+
+@given(case=family_and_pattern())
+@settings(max_examples=40)
+def test_drawn_patterns_match_oracle(case):
+    assert_levels_match_oracle(*case)
+
+
+@pytest.mark.parametrize("pi,closed", [("UUD", dyck_uud_bases), ("DUU", dyck_duu_bases)])
+def test_closed_form_bases_beyond_the_oracle(pi, closed):
+    expected = closed(60)
+    for k in range(3):
+        assert base_series(DYCK, Pattern(pi), k, 60) == expected[k]
+
+
+def path_counts(order, step):
+    out = [1, 1]
+    for n in range(2, order + 1):
+        out.append(step(n, out[-1], out[-2]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,pi,step",
+    [
+        # a pattern that no path of the family contains: level 0 counts
+        # every path (Catalan, Motzkin and skew Dyck numbers)
+        (DYCK, "F", lambda n, a, b: a * 2 * (2 * n - 1) // (n + 1)),
+        (MOTZKIN, "L", lambda n, a, b: ((2 * n + 1) * a + 3 * (n - 1) * b) // (n + 2)),
+        (SKEW_DYCK, "UL", lambda n, a, b: (3 * (2 * n - 1) * a - 5 * (n - 2) * b) // (n + 1)),
+    ],
+)
+def test_all_paths_at_order_100(family, pi, step):
+    assert base_series(family, Pattern(pi), 0, 100).int_coeffs() == path_counts(100, step)

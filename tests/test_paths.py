@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from latpath.paths import (
@@ -22,7 +24,48 @@ from latpath.enumerate import generate_paths
 ALL_FAMILIES = [DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN]
 
 
+def segment_rule(steps: str, fam) -> bool:
+    """The former validity rule: no diagonal segment traversed by both an
+    up step and a left step, tracked with explicit segment sets."""
+    x = y = 0
+    useg, lseg = set(), set()
+    for ch in steps:
+        if ch not in fam.alphabet:
+            return False
+        if ch == "U":
+            if (x, y) in lseg:
+                return False
+            useg.add((x, y))
+            x, y = x + 1, y + 1
+        elif ch == "D":
+            x, y = x + 1, y - 1
+        elif ch == "F":
+            x += 1
+        else:
+            if (x - 1, y - 1) in useg:
+                return False
+            lseg.add((x - 1, y - 1))
+            x, y = x - 1, y - 1
+        if y < 0:
+            return False
+    return y == 0 and not (fam.semilength and len(steps) % 2)
+
+
 class TestValidate:
+    @pytest.mark.parametrize("fam", [SKEW_DYCK, SKEW_MOTZKIN])
+    def test_factor_rule_equals_segment_rule(self, fam):
+        for length in range(9):
+            valid = set()
+            for steps in itertools.product("DFLU", repeat=length):
+                s = "".join(steps)
+                assert validate(s, fam) == segment_rule(s, fam), s
+                if segment_rule(s, fam):
+                    valid.add(s)
+            if not fam.semilength or length % 2 == 0:
+                size = fam.size_of("U" * length)
+                assert {p.steps for p in generate_paths(fam, size)} == valid
+
+
     def test_simple_dyck(self):
         assert validate("UUDD", DYCK)
         assert validate("", DYCK)
