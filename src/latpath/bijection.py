@@ -74,7 +74,7 @@ def _holds_component(pi: str) -> bool:
     return any(0 < i and j < len(pi) for i, j in zip(cuts, cuts[1:]))
 
 
-def _phi(s: str, pi: str, mp: int, r: int) -> str:
+def _phi(s: str, pi: str, mp: int) -> str:
     if not s:
         return s
     if set(pi) == {"F"} or pi not in s:
@@ -83,7 +83,7 @@ def _phi(s: str, pi: str, mp: int, r: int) -> str:
     if variant == "UaDb":
         head = s[: len(alpha) + 2]
         if _pattern_height(head, profile(head), pi, mp) > 0:
-            return "U" + _rc(alpha) + "D" + _phi(beta, pi, mp, r)
+            return "U" + _rc(alpha) + "D" + _phi(beta, pi, mp)
     elif variant == "Fg":
         head = "F"
     else:
@@ -128,7 +128,7 @@ def phi(path: Path, pattern: Pattern) -> Path:
         raise DomainError(f"pattern height {h} exceeds amplitude {r}")
     if not brute.is_member(path, pattern):
         raise DomainError("path is not a member of the class")
-    return Path(_phi(path.steps, pi, mp, r), path.family)
+    return Path(_phi(path.steps, pi, mp), path.family)
 
 
 def verify_reversed_complement_symmetry(family: Family, pattern: Pattern, order: int) -> bool:

@@ -2,7 +2,8 @@
 suites and OEIS lookups.
 
 Exit codes: 0 success, 1 verification failure, 2 path-budget exhaustion,
-3 internal consistency failure between computation routes, 4 bad input.
+3 internal consistency failure between computation routes, 4 bad input
+(including command-line usage errors).
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ def pattern_key(pi: str):
 def build_table(fam: Family, max_len: int, n: int) -> list[dict]:
     """One row per group of patterns sharing a coefficient sequence."""
     pats = sorted(all_patterns(fam, max_len), key=pattern_key)
-    brute.precompute_base(fam, pats, n)
     groups: dict = {}
     for pi in pats:
         gf = class_gf(fam, Pattern(pi), n)
@@ -211,7 +211,6 @@ def _verification_checks(level: str, corrupt_base: bool):
 
     def oracle_agreement(fam, pats, order):
         def run():
-            brute.precompute_base(fam, pats, order)
             for pi in pats:
                 pattern = Pattern(pi)
                 bases = None
@@ -237,7 +236,6 @@ def _verification_checks(level: str, corrupt_base: bool):
 
     def residuals(fam, pats, order):
         def run():
-            brute.precompute_base(fam, pats, order)
             from .gf import solve_quadratic, system_for, iterate_system
 
             for pi in pats:
@@ -255,7 +253,6 @@ def _verification_checks(level: str, corrupt_base: bool):
 
     def moebius_law(fam, pats, order):
         def run():
-            brute.precompute_base(fam, pats, order)
             from .gf import iterate_system, system_for
 
             for pi in pats:
@@ -368,8 +365,16 @@ def cmd_oeis(args) -> int:
 # -- entry point ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line with exit code 4, not
+    argparse's usage text and exit code 2, which is budget exhaustion's."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latpath",
         description="Enumerate lattice-path classes constrained by the "
         "maximal height of a pattern occurrence.",

@@ -133,10 +133,12 @@ def _walk(fam: Family, size: int, visit, budget: _Budget) -> None:
 def _each_path(fam: Family, size: int, budget: _Budget, visit) -> None:
     """``visit(steps, prof)`` on every path of the size, from the path-list
     cache when it holds the size, else from a walk that fills the cache for
-    sizes of at most ``_CACHE_LIMIT`` paths."""
+    sizes of at most ``_CACHE_LIMIT`` paths.  Either way every path is
+    charged to the budget, so the outcome does not depend on the cache."""
     key = (fam.name, size)
     cached = _string_cache.get(key)
     if cached is not None:
+        budget.spend(len(cached))
         for s in cached:
             visit(s, profile(s))
         return
@@ -167,17 +169,6 @@ def generate_paths(family: Family, size: int, budget: int | None = None) -> list
 # -- membership (recurrence condition on the first-return decomposition) --
 
 
-def _height(s: str, prof, pi: str, mp: int, lo: int, hi: int) -> int:
-    # Pattern height of the sub-path s[lo:hi], which starts on the axis.
-    best = -1
-    i = s.find(pi, lo, hi)
-    while i >= 0:
-        if prof[i] > best:
-            best = prof[i]
-        i = s.find(pi, i + 1, hi)
-    return 0 if best < 0 else best + mp
-
-
 def _component(s: str, prof, pi: str, mp: int, memo: dict, lo: int, hi: int, base: int) -> bool:
     # Membership of the sub-path s[lo:hi], which starts at ordinate base;
     # its own profile is built only when the memo misses.
@@ -201,12 +192,12 @@ def _is_member(s: str, prof, pi: str, mp: int, memo: dict) -> bool:
     n = len(s)
     j = prof.index(0, 1)  # the first return to the axis
     if s[0] == "F":  # F g: h(F) = 0 >= h(g)
-        ok = _height(s, prof, pi, mp, 1, n) == 0 and _component(
+        ok = _pattern_height(s, prof, pi, mp, 1, n) == 0 and _component(
             s, prof, pi, mp, memo, 1, n, 0
         )
     elif s[j - 1] == "D":  # U a D b: h(U a D) >= h(b)
         ok = (
-            _height(s, prof, pi, mp, 0, j) >= _height(s, prof, pi, mp, j, n)
+            _pattern_height(s, prof, pi, mp, 0, j) >= _pattern_height(s, prof, pi, mp, j, n)
             and _component(s, prof, pi, mp, memo, 1, j - 1, 1)
             and _component(s, prof, pi, mp, memo, j, n, 0)
         )
@@ -215,7 +206,7 @@ def _is_member(s: str, prof, pi: str, mp: int, memo: dict) -> bool:
     else:  # U a L F g, a nonempty: h(F) = 0 >= h(g)
         ok = (
             j > 2
-            and _height(s, prof, pi, mp, j + 1, n) == 0
+            and _pattern_height(s, prof, pi, mp, j + 1, n) == 0
             and _component(s, prof, pi, mp, memo, 1, j - 1, 1)
             and _component(s, prof, pi, mp, memo, j + 1, n, 0)
         )

@@ -38,8 +38,8 @@ class SystemSpec:
     """Data defining the level system: p, q, the anchor index r and bases.
 
     ``bases[k]`` anchors level k for k = 0..r; the recurrence produces all
-    higher levels.  p must have valuation >= 1 so that the iteration
-    gains at least one order of x per level.
+    higher levels.  p must satisfy p(0) = 0 so that the iteration gains
+    at least one order of x per level.
     """
 
     p: Series
@@ -52,9 +52,8 @@ class SystemSpec:
             raise ValueError("r must be >= 0")
         if len(self.bases) != self.r + 1:
             raise ValueError(f"expected {self.r + 1} base functions")
-        v = self.p.valuation()
-        if v is None or v < 1:
-            raise ValueError("p must have valuation >= 1")
+        if self.p.coeffs[0] != 0:
+            raise ValueError("p must satisfy p(0) = 0")
 
     @property
     def u(self) -> Series:
@@ -128,7 +127,7 @@ def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
         B = B + s
     A_prev = bases[-1]
     k = spec.r
-    while not A_prev.is_zero() or k == spec.r:
+    while True:
         if k > order + spec.r + 2:
             raise NoConvergence(f"levels still nonzero after k={k}")
         pA = p * A_prev
@@ -244,12 +243,6 @@ def dyck_duu_bases(order: int) -> tuple:
     return (a0, a1, a2)
 
 
-CLOSED_FORM_BASES = {
-    (DYCK.name, "UUD"): dyck_uud_bases,
-    (DYCK.name, "DUU"): dyck_duu_bases,
-}
-
-
 def default_order(family: Family) -> int:
     """Smallest truncation orders covering the reference tables with margin."""
     return 11 if family.semilength else 12
@@ -315,22 +308,6 @@ def class_gf(
     """
     if isinstance(pattern, str):
         pattern = Pattern(pattern)
-    if order == 0:
-        # only the empty path: the level system is trivial at this order
-        r = max(pattern.amplitude, 1)
-        if bases is None:
-            bases = tuple(
-                brute.base_series(family, pattern, k, 0) for k in range(r + 1)
-            )
-        else:
-            bases = tuple(s.truncate(0) for s in bases)
-        total = Series.zero(0)
-        for s in bases:
-            total = total + s
-        v = Series.zero(0)
-        for s in bases[:-1]:
-            v = v + s
-        return ClassGF(family, pattern, bases[-1], v, total, tuple(bases))
     spec = system_for(family, pattern, order, bases=bases)
     result = iterate_system(spec, order)
     if check:

@@ -30,10 +30,6 @@ class Family:
     alphabet: frozenset
     semilength: bool
 
-    @property
-    def size_unit(self) -> str:
-        return "semilength" if self.semilength else "steps"
-
     def step_count(self, size: int) -> int:
         return 2 * size if self.semilength else size
 
@@ -192,17 +188,18 @@ def pattern_height(path, pattern) -> int:
     return _pattern_height(s, prof, p, _prefix_extrema(p)[0])
 
 
-def _pattern_height(s: str, prof, p: str, max_pref: int) -> int:
-    # The height of an occurrence starting at i is prof[i] + max_pref,
-    # because the occurrence's ordinate profile is the pattern's shifted
-    # by prof[i].
+def _pattern_height(s: str, prof, p: str, mp: int, lo: int = 0, hi: int | None = None) -> int:
+    # Pattern height of the sub-path s[lo:hi] on the ordinates prof of s.
+    # The height of an occurrence starting at i is prof[i] + mp (mp is the
+    # pattern's highest prefix ordinate), because the occurrence's ordinate
+    # profile is the pattern's shifted by prof[i].
     best = -1
-    i = s.find(p)
+    i = s.find(p, lo, hi)
     while i >= 0:
         if prof[i] > best:
             best = prof[i]
-        i = s.find(p, i + 1)
-    return 0 if best < 0 else best + max_pref
+        i = s.find(p, i + 1, hi)
+    return 0 if best < 0 else best + mp
 
 
 _COMPLEMENT = {"U": "D", "D": "U", "F": "F"}

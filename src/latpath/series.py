@@ -94,11 +94,6 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Scalar:
-        if n < 0 or n > self.order:
-            raise IndexError(f"coefficient x^{n} is beyond truncation order {self.order}")
-        return self.coeffs[n]
-
     def int_coeffs(self) -> list[int]:
         """Coefficients as plain ints; raises if any is non-integral."""
         out = []
@@ -299,11 +294,6 @@ def moebius(a: Series, b: Series, c: Series, d: Series, B: Series) -> Series:
     if den.coeffs[0] == 0:
         raise DivisionByNonUnit("c + d*B has zero constant term")
     return div(a + b * B, den)
-
-
-def polynomial(coeffs: Sequence[Scalar], order: int) -> Series:
-    """Embed an exact polynomial (low to high degree) at the given order."""
-    return Series(list(coeffs), order)
 
 
 def rational(num: Sequence[Scalar], den: Sequence[Scalar], order: int) -> Series:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latpath.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
@@ -252,3 +254,24 @@ class TestBadInput:
             "--budget", "-5",
         )
         assert "--budget" in err
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 4 like any bad input, not 2."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["series", "--family", "dyk", "--pattern", "U"], "--family"),
+            (["series", "--family", "dyck"], "--pattern"),
+            (["series", "--family", "dyck", "--pattern", "U", "--order", "x"], "--order"),
+        ],
+    )
+    def test_one_line_and_bad_input_code(self, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert needle in out.err

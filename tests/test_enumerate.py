@@ -51,6 +51,22 @@ class TestGeneratePaths:
         with pytest.raises(BudgetExceeded):
             generate_paths(DYCK, 8, budget=100)
 
+    def test_budget_charges_cached_paths(self):
+        # a cold walk and a replay of the path-list cache spend alike, so a
+        # budget outcome does not depend on what the process computed before
+        from latpath import enumerate as brute
+
+        for call in (
+            lambda budget: count_class(DYCK, Pattern("U"), 8, budget=budget),
+            lambda budget: generate_paths(DYCK, 8, budget=budget),
+        ):
+            brute.clear_caches()
+            with pytest.raises(BudgetExceeded):
+                call(100)
+            call(None)  # fills the cache under the default budget
+            with pytest.raises(BudgetExceeded):
+                call(100)
+
     def test_bad_budgets(self, monkeypatch):
         from latpath.enumerate import effective_budget
 

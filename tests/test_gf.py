@@ -55,6 +55,11 @@ class TestIterateSystem:
         with pytest.raises(ValueError):
             SystemSpec(Series.one(5), Series.zero(5), 0, (Series.one(5),))
 
+    def test_accepts_p_truncated_to_zero(self):
+        # x at order 0 is the zero series: p(0) = 0 is all the iteration needs
+        spec = SystemSpec(Series.x(0), Series.zero(0), 0, (Series.one(0),))
+        assert iterate_system(spec, 0).A == Series.one(0)
+
 
 class TestMoebiusCoeffs:
     def test_p_zero(self):
@@ -253,3 +258,36 @@ class TestOnePassQuadratic:
             Series.x(order), Series.zero(order), Series.zero(5), Series.one(order)
         )
         assert solve_quadratic(coeffs, order).order == 5
+
+
+class TestOrderZero:
+    """Order 0 runs through the level system like every other order."""
+
+    @pytest.mark.parametrize(
+        "family, pi", [(DYCK, "UUD"), (MOTZKIN, "F"), (SKEW_DYCK, "UL"), (SKEW_MOTZKIN, "UFL")]
+    )
+    def test_counted_bases(self, family, pi):
+        g = class_gf(family, Pattern(pi), 0)
+        r = max(Pattern(pi).amplitude, 1)
+        assert g.per_level == (Series.one(0),) + (Series.zero(0),) * r
+        assert (g.u, g.v, g.A) == (Series.zero(0), Series.one(0), Series.one(0))
+
+    @pytest.mark.parametrize(
+        "family, pi", [(DYCK, "DUU"), (MOTZKIN, "UD"), (SKEW_DYCK, "LD"), (SKEW_MOTZKIN, "L")]
+    )
+    def test_supplied_bases(self, family, pi):
+        r = max(Pattern(pi).amplitude, 1)
+        bases = tuple(Series([k + 2, 7], 3) for k in range(r + 1))
+        g = class_gf(family, Pattern(pi), 0, bases=bases)
+        assert g.per_level == tuple(Series.constant(k + 2, 0) for k in range(r + 1))
+        assert g.u == Series.constant(r + 2, 0)
+        assert g.v == Series.constant(sum(k + 2 for k in range(r)), 0)
+        assert g.A == Series.constant(sum(k + 2 for k in range(r + 1)), 0)
+
+    @pytest.mark.parametrize("family", [MOTZKIN, SKEW_MOTZKIN])
+    def test_order_one_of_the_step_count_families(self, family):
+        # p = x^2 vanishes at order 1, so the levels are the bases; the
+        # path F holds F at height 0
+        g = class_gf(family, Pattern("F"), 1)
+        assert g.A.int_coeffs() == [1, 1]
+        assert g.per_level == (Series([1, 1]), Series.zero(1))
