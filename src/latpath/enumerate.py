@@ -1,13 +1,24 @@
-"""Exhaustive-search oracle for the pattern-height path classes, and the
-anchor levels that the generating functions start from.
+"""Exhaustive oracle for the pattern-height path classes, and the anchor
+levels that the generating functions start from.
 
-The oracle generates every valid path of a family size by size (pruned
-backtracking, deterministic lexicographic order), decides class membership
-directly from the first-return recurrence condition, and tabulates exact
-counts by size and by pattern-height level.  The anchor levels
-(``base_series``) are counted by the first-return grammar DP of
-``latpath.grammar`` instead, which walks no path, so the oracle and the
-series route cross-validate each other independently.
+The oracle composes the members of a class size by size from the members
+of smaller sizes, by the first-return decomposition that defines the
+class: a nonempty member is U a D b with h(U a D) >= h(b), F g with
+h(g) = 0, U a L with a nonempty, or U a L F g with a nonempty and
+h(g) = 0, every component a member.  A path with a non-member component
+is never built.  Each size's members are kept bucketed by pattern height,
+so a height condition selects whole buckets, and each new member's level
+comes from a scan of its whole string.  With no pattern every level is 0
+and every condition holds, so the same composer generates every path of
+the family.
+
+Every call composes from scratch and keeps nothing afterwards; the path
+budget charges each path the call builds, smaller sizes included, so a
+call's outcome does not depend on what the process computed before.  The
+anchor levels (``base_series``) are counted by the first-return grammar DP
+of ``latpath.grammar`` instead, which abstracts members to states and
+builds no path, so the oracle and the series route cross-validate each
+other independently.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from .paths import (
     Family,
     Path,
     Pattern,
+    _decompose,
     _pattern_height,
     _prefix_extrema,
     _steps_of,
@@ -28,11 +40,6 @@ from .series import Series
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "LATPATH_BUDGET"
-
-_CACHE_LIMIT = 300_000  # materialize path lists only below this many paths
-
-_string_cache: dict = {}
-_member_memo: dict = {}
 
 
 class BudgetExceeded(Exception):
@@ -57,169 +64,143 @@ def effective_budget(budget: int | None = None) -> int:
 
 
 def clear_caches() -> None:
+    """Empty the grammar DP's cache of anchor levels; the oracle keeps none."""
     from .grammar import base_levels
 
-    _string_cache.clear()
-    _member_memo.clear()
     base_levels.cache_clear()
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("family", "limit", "built")
 
-    def __init__(self, limit: int):
-        self.left = limit
+    def __init__(self, family: Family, limit: int):
+        self.family = family
+        self.limit = limit
+        self.built = 0
 
-    def spend(self, n: int = 1) -> None:
-        self.left -= n
-        if self.left < 0:
+    def spend(self, n: int, size: int) -> None:
+        # Charged before the n paths are built, so an exhausted budget
+        # stops the composer before it allocates them.
+        self.built += n
+        if self.built > self.limit:
             raise BudgetExceeded(
-                f"path budget exhausted (limit via {BUDGET_ENV_VAR} or budget=)"
+                f"path budget exhausted: {self.family.name} paths up to size {size} "
+                f"need {self.built} paths built, over the limit of {self.limit} "
+                f"(set it with {BUDGET_ENV_VAR} or budget=)"
             )
 
 
-def _walk(fam: Family, size: int, visit, budget: _Budget) -> None:
-    """Backtracking generator of all valid paths of the given size.
+def _file(into: dict, strings: list, pi: str, mp: int) -> None:
+    # Add the strings to the level buckets; the level of each is the pattern
+    # height of its whole string, and 0 when there is no pattern.
+    if not pi:
+        into.setdefault(0, []).extend(strings)
+        return
+    into.setdefault(0, []).extend([s for s in strings if pi not in s])
+    for s in strings:
+        if pi in s:
+            h = _pattern_height(s, profile(s), pi, mp)
+            into.setdefault(h, []).append(s)
 
-    ``visit(steps, prof)`` is called once per path with the step string and
-    the live ordinate profile (length + 1 ints; do not retain it).  Children
-    are explored in lexicographic step order (D < F < L < U), so paths are
-    visited in lexicographic order.  The U/L overlap rule is enforced
-    during generation as a ban on the factors UL and LU (see
-    ``paths.validate``).
+
+def _compose(fam: Family, pi: str, size: int, budget: _Budget) -> list[dict]:
+    """The members of sizes 0..size, each size as a dict level -> strings.
+
+    An empty ``pi`` imposes no condition: the result is every path of the
+    family, all at level 0.  Each size is built from the kept smaller ones:
+
+    - U a D: a any member; every such arch is a member, the one with b empty;
+    - U a D b, b nonempty: the arches at level >= h(b) times the member b;
+    - F g (flat-step families): g a member at level 0;
+    - U a L (left-step families): a any nonempty member;
+    - U a L F g (skew Motzkin): a U a L arch times a member F g.
+
+    The size of U..D and U..L is one for semilength families and two for
+    step-count families.  The U/L overlap rule holds throughout, because
+    an axis-returning L is followed only by F.
     """
-    total = fam.step_count(size)
+    mp = _prefix_extrema(pi)[0]
+    unit = 1 if fam.semilength else 2
     has_f = "F" in fam.alphabet
     has_l = "L" in fam.alphabet
-    chars: list[str] = []
-    prof = [0]
+    members = [{0: [""]}]  # size -> level -> strings
+    arches: list[dict] = [{}]  # size -> level -> U a D members
+    lefts: list[list] = [[]]  # size -> U a L members
+    flats: list[list] = [[]]  # size -> F g members
+    for n in range(1, size + 1):
+        out: dict = {}
+        arch: dict = {}
+        left: list = []
+        flat: list = []
+        if n >= unit:
+            alphas = [a for bucket in members[n - unit].values() for a in bucket]
+            budget.spend(len(alphas), n)
+            _file(arch, ["U" + a + "D" for a in alphas], pi, mp)
+            if has_l:
+                left = ["U" + a + "L" for a in alphas if a]
+                budget.spend(len(left), n)
+        if has_f:
+            gammas = members[n - 1].get(0, [])
+            budget.spend(len(gammas), n)
+            flat = ["F" + g for g in gammas]
+        for i in range(unit, n):
+            tails = members[n - i]
+            for ha, heads in arches[i].items():
+                betas = [b for hb, bucket in tails.items() if hb <= ha for b in bucket]
+                budget.spend(len(heads) * len(betas), n)
+                _file(out, [a + b for a in heads for b in betas], pi, mp)
+            if lefts[i] and flats[n - i]:
+                budget.spend(len(lefts[i]) * len(flats[n - i]), n)
+                _file(out, [a + f for a in lefts[i] for f in flats[n - i]], pi, mp)
+        _file(out, left, pi, mp)
+        _file(out, flat, pi, mp)
+        for h, bucket in arch.items():
+            out.setdefault(h, []).extend(bucket)
+        members.append(out)
+        arches.append(arch)
+        lefts.append(left)
+        flats.append(flat)
+    return members
 
-    def rec(t: int, y: int, last: str) -> None:
-        if t == total:
-            if y == 0:
-                budget.spend()
-                visit("".join(chars), prof)
-            return
-        rem1 = total - t - 1
-        down = y >= 1 and (has_f or (rem1 - (y - 1)) % 2 == 0)
-        if down:
-            chars.append("D")
-            prof.append(y - 1)
-            rec(t + 1, y - 1, "D")
-            chars.pop()
-            prof.pop()
-        if has_f and y <= rem1:
-            chars.append("F")
-            prof.append(y)
-            rec(t + 1, y, "F")
-            chars.pop()
-            prof.pop()
-        if has_l and down and last != "U":
-            chars.append("L")
-            prof.append(y - 1)
-            rec(t + 1, y - 1, "L")
-            chars.pop()
-            prof.pop()
-        if y + 1 <= rem1 and (has_f or (rem1 - (y + 1)) % 2 == 0) and last != "L":
-            chars.append("U")
-            prof.append(y + 1)
-            rec(t + 1, y + 1, "U")
-            chars.pop()
-            prof.pop()
 
-    rec(0, 0, "")
-
-
-def _each_path(fam: Family, size: int, budget: _Budget, visit) -> None:
-    """``visit(steps, prof)`` on every path of the size, from the path-list
-    cache when it holds the size, else from a walk that fills the cache for
-    sizes of at most ``_CACHE_LIMIT`` paths.  Either way every path is
-    charged to the budget, so the outcome does not depend on the cache."""
-    key = (fam.name, size)
-    cached = _string_cache.get(key)
-    if cached is not None:
-        budget.spend(len(cached))
-        for s in cached:
-            visit(s, profile(s))
-        return
-    out: list[str] = []
-
-    def keep(s: str, prof) -> None:
-        if len(out) <= _CACHE_LIMIT:
-            out.append(s)
-        visit(s, prof)
-
-    _walk(fam, size, keep, budget)
-    if len(out) <= _CACHE_LIMIT:
-        _string_cache[key] = out
+def _sorted_paths(fam: Family, levels: dict) -> list[Path]:
+    # ASCII order D < F < L < U is the lexicographic step order.
+    return [Path(s, fam) for s in sorted(s for bucket in levels.values() for s in bucket)]
 
 
 def generate_paths(family: Family, size: int, budget: int | None = None) -> list[Path]:
     """All valid paths of the family with the given size, lexicographic order."""
     if size < 0:
         raise ValueError("size must be >= 0")
-    out: list[Path] = []
-    _each_path(
-        family, size, _Budget(effective_budget(budget)),
-        lambda s, prof: out.append(Path(s, family)),
-    )
-    return out
+    b = _Budget(family, effective_budget(budget))
+    return _sorted_paths(family, _compose(family, "", size, b)[size])
 
 
 # -- membership (recurrence condition on the first-return decomposition) --
 
 
-def _component(s: str, prof, pi: str, mp: int, memo: dict, lo: int, hi: int, base: int) -> bool:
-    # Membership of the sub-path s[lo:hi], which starts at ordinate base;
-    # its own profile is built only when the memo misses.
-    if lo == hi:
+def _is_member(s: str, pi: str, mp: int) -> bool:
+    # s is a valid path; the components of its first-return split are
+    # checked as paths of their own, starting on the axis.
+    if not s:
         return True
-    t = s[lo:hi]
-    hit = memo.get(t)
-    if hit is None:
-        sub = prof[lo : hi + 1]
-        if base:
-            sub = [y - base for y in sub]
-        hit = _is_member(t, sub, pi, mp, memo)
-    return hit
 
+    def h(t: str) -> int:
+        return _pattern_height(t, profile(t), pi, mp)
 
-def _is_member(s: str, prof, pi: str, mp: int, memo: dict) -> bool:
-    # s is a nonempty path and prof its ordinate profile.
-    hit = memo.get(s)
-    if hit is not None:
-        return hit
-    n = len(s)
-    j = prof.index(0, 1)  # the first return to the axis
-    if s[0] == "F":  # F g: h(F) = 0 >= h(g)
-        ok = _pattern_height(s, prof, pi, mp, 1, n) == 0 and _component(
-            s, prof, pi, mp, memo, 1, n, 0
+    variant, alpha, beta, gamma = _decompose(s)
+    if variant == "UaDb":
+        return (
+            h(s[: len(alpha) + 2]) >= h(beta)
+            and _is_member(alpha, pi, mp)
+            and _is_member(beta, pi, mp)
         )
-    elif s[j - 1] == "D":  # U a D b: h(U a D) >= h(b)
-        ok = (
-            _pattern_height(s, prof, pi, mp, 0, j) >= _pattern_height(s, prof, pi, mp, j, n)
-            and _component(s, prof, pi, mp, memo, 1, j - 1, 1)
-            and _component(s, prof, pi, mp, memo, j, n, 0)
-        )
-    elif j == n:  # U a L, a nonempty
-        ok = j > 2 and _component(s, prof, pi, mp, memo, 1, j - 1, 1)
-    else:  # U a L F g, a nonempty: h(F) = 0 >= h(g)
-        ok = (
-            j > 2
-            and _pattern_height(s, prof, pi, mp, j + 1, n) == 0
-            and _component(s, prof, pi, mp, memo, 1, j - 1, 1)
-            and _component(s, prof, pi, mp, memo, j + 1, n, 0)
-        )
-    memo[s] = ok
-    return ok
-
-
-def _memo_for(fam: Family, pi: str) -> dict:
-    key = (fam.name, pi)
-    memo = _member_memo.get(key)
-    if memo is None:
-        memo = _member_memo[key] = {}
-    return memo
+    if variant == "Fg":
+        return h(gamma) == 0 and _is_member(gamma, pi, mp)
+    # U a L and U a L F g; a is nonempty because UL is not a valid factor
+    return _is_member(alpha, pi, mp) and (
+        gamma is None or (h(gamma) == 0 and _is_member(gamma, pi, mp))
+    )
 
 
 def is_member(path: Path, pattern: Pattern) -> bool:
@@ -230,12 +211,8 @@ def is_member(path: Path, pattern: Pattern) -> bool:
     family's height condition must hold (e.g. h(U alpha D) >= h(beta)
     for the arch variant, evaluated on the indicated sub-paths).
     """
-    s = path.steps
-    if not s:
-        return True
     pi = _steps_of(pattern)
-    mp = _prefix_extrema(pi)[0]
-    return _is_member(s, profile(s), pi, mp, _memo_for(path.family, pi))
+    return _is_member(path.steps, pi, _prefix_extrema(pi)[0])
 
 
 # -- per-level counting --------------------------------------------------
@@ -266,20 +243,15 @@ class ClassCountTable:
 def count_class(
     family: Family, pattern: Pattern, max_size: int, budget: int | None = None
 ) -> ClassCountTable:
-    """Count all members by size and level via full enumeration."""
+    """Count all members by size and level, composing every member."""
     pi = _steps_of(pattern)
-    mp = _prefix_extrema(pi)[0]
-    memo = _memo_for(family, pi)
-    b = _Budget(effective_budget(budget))
-    counts: dict = {}
-    for n in range(max_size + 1):
-
-        def tally(s: str, prof) -> None:
-            if not s or _is_member(s, prof, pi, mp, memo):
-                key = (n, _pattern_height(s, prof, pi, mp))
-                counts[key] = counts.get(key, 0) + 1
-
-        _each_path(family, n, b, tally)
+    b = _Budget(family, effective_budget(budget))
+    counts = {
+        (n, k): len(bucket)
+        for n, levels in enumerate(_compose(family, pi, max_size, b))
+        for k, bucket in levels.items()
+        if bucket
+    }
     return ClassCountTable(family, Pattern(pi), max_size, counts)
 
 
@@ -287,17 +259,8 @@ def member_paths(
     family: Family, pattern: Pattern, size: int, budget: int | None = None
 ) -> list[Path]:
     """All class members of one size, lexicographic order."""
-    pi = _steps_of(pattern)
-    mp = _prefix_extrema(pi)[0]
-    memo = _memo_for(family, pi)
-    out: list[Path] = []
-
-    def keep(s: str, prof) -> None:
-        if not s or _is_member(s, prof, pi, mp, memo):
-            out.append(Path(s, family))
-
-    _each_path(family, size, _Budget(effective_budget(budget)), keep)
-    return out
+    b = _Budget(family, effective_budget(budget))
+    return _sorted_paths(family, _compose(family, _steps_of(pattern), size, b)[size])
 
 
 # -- anchor levels ----------------------------------------------------------

@@ -251,12 +251,16 @@ def div(num: Series, den: Series) -> Series:
     a = num.coeffs[dval : n + 1]
     b = den.coeffs[dval : n + 1]
     lead = b[0]
+    terms = [(j, bj) for j, bj in enumerate(b) if j and bj]
+    # The quotient starts at the numerator's valuation: q[k] = 0 below it.
+    start = next((k for k, c in enumerate(a) if c), out_order + 1)
     q = [0] * (out_order + 1)
-    for k in range(out_order + 1):
-        acc = a[k] if k < len(a) else 0
-        for j in range(1, k + 1):
-            if b[j] != 0:
-                acc -= b[j] * q[k - j]
+    for k in range(start, out_order + 1):
+        acc = a[k]
+        for j, bj in terms:
+            if j > k - start:
+                break
+            acc -= bj * q[k - j]
         q[k] = exact_quotient(acc, lead)
     return Series(q)
 

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from latpath.cli import all_patterns
 from latpath.enumerate import (
     BudgetExceeded,
     base_series,
@@ -187,3 +190,70 @@ class TestBaseSeries:
         warm = class_gf(DYCK, Pattern("UUD"), 10)
         assert cold.A == warm.A and cold.per_level == warm.per_level
         assert cold.A.int_coeffs()[1:] == [1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
+
+
+DEFINITION_SIZES = [(DYCK, 7), (MOTZKIN, 9), (SKEW_DYCK, 6), (SKEW_MOTZKIN, 8)]
+
+
+class TestComposerAgainstDefinition:
+    """The composer against the definition: ``is_member`` applied to every
+    path that ``generate_paths`` gives, for every pattern of length <= 4."""
+
+    @pytest.mark.parametrize("fam,max_size", DEFINITION_SIZES, ids=lambda v: getattr(v, "name", v))
+    def test_counts_and_members(self, fam, max_size):
+        paths = [generate_paths(fam, n) for n in range(max_size + 1)]
+        for pi in all_patterns(fam, 4):
+            pattern = Pattern(pi)
+            expected = {}
+            members = []
+            for n, of_size in enumerate(paths):
+                members.append([p for p in of_size if is_member(p, pattern)])
+                for p in members[n]:
+                    key = (n, pattern_height(p, pattern))
+                    expected[key] = expected.get(key, 0) + 1
+            assert count_class(fam, pattern, max_size).counts == expected, pi
+            for n in range(max_size + 1):
+                assert member_paths(fam, pattern, n) == members[n], (pi, n)
+
+
+class TestNoOracleState:
+    def test_no_module_level_containers(self):
+        from latpath import enumerate as brute
+
+        held = [
+            name
+            for name, value in vars(brute).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        ]
+        assert held == []
+
+    def test_cold_and_warm_calls_agree(self):
+        from latpath import enumerate as brute
+
+        brute.clear_caches()
+        cold = count_class(MOTZKIN, Pattern("UFD"), 9)
+        for pi in ("F", "UD", "DFU", "FF"):
+            count_class(MOTZKIN, Pattern(pi), 10)
+            member_paths(MOTZKIN, Pattern(pi), 8)
+        assert count_class(MOTZKIN, Pattern("UFD"), 9) == cold
+
+
+class TestBudgetMessage:
+    def test_names_family_size_paths_and_limit(self):
+        with pytest.raises(BudgetExceeded) as caught:
+            count_class(SKEW_DYCK, Pattern("UD"), 8, budget=50)
+        message = str(caught.value)
+        assert "skew-dyck" in message
+        assert "limit of 50" in message
+        assert "LATPATH_BUDGET" in message
+        match = re.search(r"up to size (\d+) need (\d+) paths built", message)
+        assert match, message
+        size, built = int(match.group(1)), int(match.group(2))
+        assert 1 <= size <= 8 and built > 50
+
+    def test_charges_every_path_built(self):
+        # Dyck paths of sizes 0..4 are 1 + 1 + 2 + 5 + 14 = 23, all built
+        # once (the empty path is free), so 22 paths fit and 21 do not
+        generate_paths(DYCK, 4, budget=22)
+        with pytest.raises(BudgetExceeded, match="limit of 21"):
+            generate_paths(DYCK, 4, budget=21)
