@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import enumerate as brute
+from .enumerate import _is_member
 from .gf import class_gf
 from .paths import (
     DYCK,
@@ -27,7 +27,7 @@ from .paths import (
     Family,
     Path,
     Pattern,
-    _decompose,
+    _first_return,
     _pattern_height,
     _prefix_extrema,
     profile,
@@ -53,10 +53,6 @@ class PatternPair:
         return cls(pi, sigma)
 
 
-def _rc(s: str) -> str:
-    return reversed_complement(s) if s else s
-
-
 def _axis_cuts(s: str) -> list[int]:
     """Positions where a U/D/F walk visits its lowest ordinate; consecutive
     cuts bound its axis components (F or an arch)."""
@@ -74,19 +70,16 @@ def _holds_component(pi: str) -> bool:
     return any(0 < i and j < len(pi) for i, j in zip(cuts, cuts[1:]))
 
 
-def _phi(s: str, pi: str, mp: int) -> str:
-    if not s:
-        return s
-    if set(pi) == {"F"} or pi not in s:
-        return _rc(s)
-    variant, alpha, beta, _ = _decompose(s)
+def _phi(s: str, prof, pi: str, mp: int, lo: int) -> str:
+    # The image of the suffix s[lo:], which starts on the axis, on the
+    # ordinates prof of s.
+    if set(pi) == {"F"} or s.find(pi, lo) < 0:
+        return reversed_complement(s[lo:])
+    variant, j = _first_return(s, prof, lo, len(s))
     if variant == "UaDb":
-        head = s[: len(alpha) + 2]
-        if _pattern_height(head, profile(head), pi, mp) > 0:
-            return "U" + _rc(alpha) + "D" + _phi(beta, pi, mp)
-    elif variant == "Fg":
-        head = "F"
-    else:
+        if _pattern_height(s, prof, pi, mp, lo, j) > 0:
+            return "U" + reversed_complement(s[lo + 1 : j - 1]) + "D" + _phi(s, prof, pi, mp, j)
+    elif variant != "Fg":
         raise DomainError("the map is defined on flat-step-free arch families only")
     # The head and the tail both avoid pi (membership), so every occurrence
     # straddles the junction head|b1 of s = head b1...bm.  Plain reversal
@@ -95,11 +88,11 @@ def _phi(s: str, pi: str, mp: int) -> str:
     # junction bm|head carries pi, else the rotation b2...bm head b1: either
     # way the occurrence lands on the image's first junction, and whether the
     # image's own wrap junction carries sigma tells the two cases apart.
-    tail = s[len(head) :]
-    cuts = _axis_cuts(tail)
-    if pi in tail[cuts[-2] :] + head:
-        return _rc(tail + head)
-    return _rc(tail[cuts[1] :] + head + tail[: cuts[1]])
+    head = s[lo:j]
+    cuts = [i for i in range(j, len(s) + 1) if prof[i] == 0]  # b1...bm's bounds
+    if pi in s[cuts[-2] :] + head:
+        return reversed_complement(s[j:] + head)
+    return reversed_complement(s[cuts[1] :] + head + s[j : cuts[1]])
 
 
 def phi(path: Path, pattern: Pattern) -> Path:
@@ -123,12 +116,14 @@ def phi(path: Path, pattern: Pattern) -> Path:
         raise DomainError(f"map not defined for {pi}: an occurrence can contain a whole axis component")
     mp, mn = _prefix_extrema(pi)
     r = mp - mn
-    h = _pattern_height(path.steps, profile(path.steps), pi, mp)
+    s = path.steps
+    prof = profile(s)
+    h = _pattern_height(s, prof, pi, mp)
     if h > r:
         raise DomainError(f"pattern height {h} exceeds amplitude {r}")
-    if not brute.is_member(path, pattern):
+    if not _is_member(s, prof, pi, mp, 0, len(s)):
         raise DomainError("path is not a member of the class")
-    return Path(_phi(path.steps, pi, mp), path.family)
+    return Path(_phi(s, prof, pi, mp, 0), path.family)
 
 
 def verify_reversed_complement_symmetry(family: Family, pattern: Pattern, order: int) -> bool:

@@ -15,7 +15,7 @@ import sys
 
 from . import bijection, enumerate as brute, oeis_client
 from .gf import ConsistencyFailure, class_gf, default_order, moebius_coeffs, residual, moebius_step
-from .paths import FAMILIES, Family, Pattern, family as family_by_name, reversed_complement
+from .paths import FAMILIES, Family, Path, Pattern, family as family_by_name, reversed_complement
 from .series import Series
 
 EXIT_OK = 0
@@ -285,32 +285,25 @@ def _verification_checks(level: str, corrupt_base: bool):
 
         def phi_preserving():
             # checks injectivity and size/level preservation; that the image
-            # is exactly the sibling class is checked by the acceptance suite
-            for fam, max_len, max_steps in (
-                (FAMILIES["dyck"], 3, 10),
+            # is exactly the sibling class is checked by the acceptance suite;
+            # sizes up to 10 steps
+            for fam, max_len, max_size in (
+                (FAMILIES["dyck"], 3, 5),
                 (FAMILIES["motzkin"], 2, 10),
             ):
                 for pi in all_patterns(fam, max_len):
                     pattern = Pattern(pi)
                     sigma = reversed_complement(pattern)
-                    r = pattern.amplitude
-                    for steps in range(0, max_steps + 1):
-                        if fam.semilength and steps % 2:
-                            continue
-                        size = steps // 2 if fam.semilength else steps
-                        dom = [
-                            p
-                            for p in brute.member_paths(fam, pattern, size)
-                            if p.pattern_height(pattern) in (0, r)
-                        ]
-                        image = [bijection.phi(p, pattern) for p in dom]
-                        if len({q.steps for q in image}) != len(dom):
-                            return False
-                        for src, dst in zip(dom, image):
-                            if dst.size != src.size:
+                    levels = {0, pattern.amplitude}
+                    for size, members in enumerate(brute.members_by_level(fam, pattern, max_size)):
+                        for k in levels:
+                            dom = [Path(s, fam) for s in members.get(k, [])]
+                            image = [bijection.phi(p, pattern) for p in dom]
+                            if len({q.steps for q in image}) != len(dom):
                                 return False
-                            if dst.pattern_height(sigma) != src.pattern_height(pattern):
-                                return False
+                            for dst in image:
+                                if dst.size != size or dst.pattern_height(sigma) != k:
+                                    return False
             return True
 
         yield "reversed-complement series equality", symmetry

@@ -30,7 +30,7 @@ from .paths import (
     Family,
     Path,
     Pattern,
-    _decompose,
+    _first_return,
     _pattern_height,
     _prefix_extrema,
     _steps_of,
@@ -168,38 +168,53 @@ def _sorted_paths(fam: Family, levels: dict) -> list[Path]:
     return [Path(s, fam) for s in sorted(s for bucket in levels.values() for s in bucket)]
 
 
+def members_by_level(
+    family: Family, pattern: Pattern, max_size: int, budget: int | None = None
+) -> list[dict]:
+    """The class members of sizes 0..max_size as step strings: item n maps
+    each level k to the size-n members at level k, in no fixed order.
+
+    An empty pattern string imposes no condition (every path, at level 0).
+    """
+    if max_size < 0:
+        raise ValueError(f"size must be >= 0, got {max_size}")
+    b = _Budget(family, effective_budget(budget))
+    return _compose(family, _steps_of(pattern), max_size, b)
+
+
 def generate_paths(family: Family, size: int, budget: int | None = None) -> list[Path]:
     """All valid paths of the family with the given size, lexicographic order."""
-    if size < 0:
-        raise ValueError("size must be >= 0")
-    b = _Budget(family, effective_budget(budget))
-    return _sorted_paths(family, _compose(family, "", size, b)[size])
+    return _sorted_paths(family, members_by_level(family, "", size, budget)[size])
 
 
 # -- membership (recurrence condition on the first-return decomposition) --
 
 
-def _is_member(s: str, pi: str, mp: int) -> bool:
-    # s is a valid path; the components of its first-return split are
-    # checked as paths of their own, starting on the axis.
-    if not s:
+def _is_member(s: str, prof, pi: str, mp: int, lo: int, hi: int) -> bool:
+    # Membership of the sub-path s[lo:hi] on the ordinates prof of s; it
+    # starts and ends at ordinate base = prof[lo].  A sub-path free of pi
+    # has every component at level 0, so every condition holds.
+    if s.find(pi, lo, hi) < 0:
         return True
+    base = prof[lo]
 
-    def h(t: str) -> int:
-        return _pattern_height(t, profile(t), pi, mp)
+    def h(a: int, b: int) -> int:
+        # level of the component s[a:b], which also starts at the base
+        top = _pattern_height(s, prof, pi, mp, a, b)
+        return top - base if top else 0
 
-    variant, alpha, beta, gamma = _decompose(s)
+    variant, j = _first_return(s, prof, lo, hi)
     if variant == "UaDb":
         return (
-            h(s[: len(alpha) + 2]) >= h(beta)
-            and _is_member(alpha, pi, mp)
-            and _is_member(beta, pi, mp)
+            h(lo, j) >= h(j, hi)
+            and _is_member(s, prof, pi, mp, lo + 1, j - 1)
+            and _is_member(s, prof, pi, mp, j, hi)
         )
     if variant == "Fg":
-        return h(gamma) == 0 and _is_member(gamma, pi, mp)
+        return h(j, hi) == 0 and _is_member(s, prof, pi, mp, j, hi)
     # U a L and U a L F g; a is nonempty because UL is not a valid factor
-    return _is_member(alpha, pi, mp) and (
-        gamma is None or (h(gamma) == 0 and _is_member(gamma, pi, mp))
+    return _is_member(s, prof, pi, mp, lo + 1, j - 1) and (
+        variant == "UaL" or (h(j + 1, hi) == 0 and _is_member(s, prof, pi, mp, j + 1, hi))
     )
 
 
@@ -212,7 +227,8 @@ def is_member(path: Path, pattern: Pattern) -> bool:
     for the arch variant, evaluated on the indicated sub-paths).
     """
     pi = _steps_of(pattern)
-    return _is_member(path.steps, pi, _prefix_extrema(pi)[0])
+    s = path.steps
+    return _is_member(s, profile(s), pi, _prefix_extrema(pi)[0], 0, len(s))
 
 
 # -- per-level counting --------------------------------------------------
@@ -244,23 +260,20 @@ def count_class(
     family: Family, pattern: Pattern, max_size: int, budget: int | None = None
 ) -> ClassCountTable:
     """Count all members by size and level, composing every member."""
-    pi = _steps_of(pattern)
-    b = _Budget(family, effective_budget(budget))
     counts = {
         (n, k): len(bucket)
-        for n, levels in enumerate(_compose(family, pi, max_size, b))
+        for n, levels in enumerate(members_by_level(family, pattern, max_size, budget))
         for k, bucket in levels.items()
         if bucket
     }
-    return ClassCountTable(family, Pattern(pi), max_size, counts)
+    return ClassCountTable(family, Pattern(_steps_of(pattern)), max_size, counts)
 
 
 def member_paths(
     family: Family, pattern: Pattern, size: int, budget: int | None = None
 ) -> list[Path]:
     """All class members of one size, lexicographic order."""
-    b = _Budget(family, effective_budget(budget))
-    return _sorted_paths(family, _compose(family, _steps_of(pattern), size, b)[size])
+    return _sorted_paths(family, members_by_level(family, pattern, size, budget)[size])
 
 
 # -- anchor levels ----------------------------------------------------------
@@ -279,6 +292,8 @@ def base_series(family: Family, pattern: Pattern, k: int, order: int) -> Series:
     """
     pi = _steps_of(pattern)
     r = max(Pattern(pi).amplitude, 1)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if k < 0 or k > r:
         raise ValueError(f"level {k} outside the anchor range 0..{r}")
     return Series(list(_base_levels(family, pi, order)[k]))

@@ -271,6 +271,8 @@ def system_for(
         raise ValueError(
             f"pattern {pattern.steps!r} uses steps outside the {family.name} alphabet"
         )
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     r = max(pattern.amplitude, 1)
     if bases is None:
         bases = tuple(

@@ -202,7 +202,7 @@ def _pattern_height(s: str, prof, p: str, mp: int, lo: int = 0, hi: int | None =
     return 0 if best < 0 else best + mp
 
 
-_COMPLEMENT = {"U": "D", "D": "U", "F": "F"}
+_COMPLEMENT = str.maketrans("UD", "DU")
 
 
 def reversed_complement(obj):
@@ -212,9 +212,9 @@ def reversed_complement(obj):
     Returns the same kind of object as the input (str, Pattern or Path).
     """
     s = _steps_of(obj)
-    if "L" in s:
+    if not set(s) <= {"U", "D", "F"}:
         raise ValueError("the reversed complement is defined for U/D/F steps only")
-    rc = "".join(_COMPLEMENT[ch] for ch in reversed(s))
+    rc = s[::-1].translate(_COMPLEMENT)
     if isinstance(obj, Pattern):
         return Pattern(rc)
     if isinstance(obj, Path):
@@ -257,34 +257,19 @@ class FirstReturn:
         raise AssertionError(self.variant)
 
 
-def _decompose(s: str) -> tuple[str, str | None, str | None, str | None]:
-    """Split a valid nonempty path at the first return to the x-axis."""
-    first = s[0]
-    if first == "F":
-        return "Fg", None, None, s[1:]
-    if first != "U":
-        raise ValueError(f"invalid path start {first!r}")
-    y = 1
-    j = 1
-    n = len(s)
-    while j < n:
-        y += DISPLACEMENT[s[j]][1]
-        j += 1
-        if y == 0:
-            break
-    else:
-        raise ValueError("path never returns to the x-axis")
-    returning = s[j - 1]
-    if returning == "D":
-        return "UaDb", s[1 : j - 1], s[j:], None
-    if returning == "L":
-        rest = s[j:]
-        if not rest:
-            return "UaL", s[1 : j - 1], None, None
-        if rest[0] == "F":
-            return "UaLFg", s[1 : j - 1], None, rest[1:]
-        raise ValueError("a step other than F follows an axis-returning L")
-    raise AssertionError(returning)
+def _first_return(s: str, prof, lo: int, hi: int) -> tuple[str, int]:
+    """First-return split of the nonempty path s[lo:hi], which starts and
+    ends at ordinate prof[lo] of the ordinates prof of s: its variant and
+    the end j of its first axis component.  Then a is s[lo + 1:j - 1], b is
+    s[j:hi], and g is s[j:hi] (Fg) or s[j + 1:hi] (UaLFg: an axis-returning
+    L is followed only by F)."""
+    j = prof.index(prof[lo], lo + 1)
+    step = s[j - 1]
+    if step == "F":
+        return "Fg", j
+    if step == "D":
+        return "UaDb", j
+    return ("UaLFg" if j < hi else "UaL"), j
 
 
 def first_return_decompose(path: Path) -> FirstReturn:
@@ -296,5 +281,11 @@ def first_return_decompose(path: Path) -> FirstReturn:
     s = path.steps
     if not s:
         raise ValueError("cannot decompose the empty path")
-    variant, alpha, beta, gamma = _decompose(s)
-    return FirstReturn(variant, path.family, alpha, beta, gamma)
+    variant, j = _first_return(s, profile(s), 0, len(s))
+    if variant == "Fg":
+        return FirstReturn(variant, path.family, gamma=s[j:])
+    alpha = s[1 : j - 1]
+    if variant == "UaDb":
+        return FirstReturn(variant, path.family, alpha, beta=s[j:])
+    gamma = s[j + 1 :] if variant == "UaLFg" else None
+    return FirstReturn(variant, path.family, alpha, gamma=gamma)

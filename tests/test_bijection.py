@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from latpath.bijection import DomainError, PatternPair, phi, verify_reversed_complement_symmetry
-from latpath.enumerate import member_paths
+from latpath.cli import all_patterns
+from latpath.enumerate import generate_paths, member_paths
 from latpath.paths import (
     DYCK,
     MOTZKIN,
@@ -13,6 +14,7 @@ from latpath.paths import (
     pattern_height,
     reversed_complement,
 )
+from reference_membership import reference_is_member
 
 
 def level_members(fam, pattern, size, levels):
@@ -100,6 +102,38 @@ class TestPhi:
             phi(Path("UDUD", DYCK), Pattern("DUDU"))
         with pytest.raises(DomainError):
             phi(Path("UDFF", MOTZKIN), Pattern("DFF"))
+
+
+class TestPhiRejectsNonMembers:
+    """On levels 0 and amplitude, ``phi`` raises DomainError exactly for the
+    paths that the former membership recursion rejects."""
+
+    @pytest.mark.parametrize(
+        "fam,max_len,max_size", [(DYCK, 3, 4), (MOTZKIN, 2, 8)], ids=["dyck", "motzkin"]
+    )
+    def test_every_path_up_to_8_steps(self, fam, max_len, max_size):
+        paths = [p for n in range(max_size + 1) for p in generate_paths(fam, n)]
+        for pi in all_patterns(fam, max_len):
+            pattern = Pattern(pi)
+            try:
+                phi(Path("", fam), pattern)
+            except DomainError:
+                continue  # outside the map's pattern domain
+            levels = {0, pattern.amplitude}
+            for p in paths:
+                if pattern_height(p, pattern) not in levels:
+                    continue
+                if reference_is_member(p.steps, pi):
+                    phi(p, pattern)
+                else:
+                    with pytest.raises(DomainError, match="not a member"):
+                        phi(p, pattern)
+
+    def test_flat_head_non_member(self):
+        # F g needs g at level 0; UF occurs in g = UFD
+        assert not reference_is_member("FUFD", "UF")
+        with pytest.raises(DomainError, match="not a member"):
+            phi(Path("FUFD", MOTZKIN), Pattern("UF"))
 
 
 class TestReversedComplementSymmetry:

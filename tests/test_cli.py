@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from latpath import bijection
 from latpath.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VERIFY_FAILED, main
+from latpath.paths import pattern_height, reversed_complement
 
 
 def run(capsys, *argv):
@@ -145,6 +147,46 @@ class TestVerify:
         assert code == EXIT_OK
         assert "reversed-complement series equality" in out
         assert "FAIL" not in out
+
+
+class TestVerifyCatchesBrokenMap:
+    """The explicit-map check fails, alone, when ``phi`` is broken."""
+
+    MAP_CHECK = "FAIL  explicit map injective, size- and level-preserving"
+
+    def run_full(self, capsys):
+        code, out, _ = run(capsys, "verify", "--level", "full")
+        assert code == EXIT_VERIFY_FAILED
+        assert self.MAP_CHECK in out
+        assert "1 check(s) failed" in out
+
+    def test_non_injective_map(self, capsys, monkeypatch):
+        # keeps every image's size and level, but equal-size images at the
+        # same level collide: each takes the first such image seen
+        real = bijection._phi
+        first = {}
+
+        def colliding(s, prof, pi, mp, lo):
+            image = real(s, prof, pi, mp, lo)
+            if lo:
+                return image
+            level = pattern_height(image, reversed_complement(pi))
+            return first.setdefault((pi, len(s), level), image)
+
+        monkeypatch.setattr(bijection, "_phi", colliding)
+        self.run_full(capsys)
+
+    def test_map_keeping_the_level_under_pi_only(self, capsys, monkeypatch):
+        # the identity on DUU keeps each path's DUU level, not its DDU level
+        # (on UUD it would pass: every UUD member at levels 0 and 2 has the
+        # same UDD level)
+        real = bijection._phi
+
+        def identity_on_duu(s, prof, pi, mp, lo):
+            return s[lo:] if pi == "DUU" else real(s, prof, pi, mp, lo)
+
+        monkeypatch.setattr(bijection, "_phi", identity_on_duu)
+        self.run_full(capsys)
 
 
 class TestOeis:

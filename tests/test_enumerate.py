@@ -10,10 +10,12 @@ from latpath.enumerate import (
     generate_paths,
     is_member,
     member_paths,
+    members_by_level,
     precompute_base,
 )
 from latpath.paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Path, Pattern, pattern_height
 from latpath.series import rational
+from reference_membership import reference_is_member
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127, 323]
@@ -257,3 +259,60 @@ class TestBudgetMessage:
         generate_paths(DYCK, 4, budget=22)
         with pytest.raises(BudgetExceeded, match="limit of 21"):
             generate_paths(DYCK, 4, budget=21)
+
+
+class TestMembershipAgainstReference:
+    """``is_member`` against the former recursion (one profile per
+    component, fresh substrings) on every family path."""
+
+    @pytest.mark.parametrize(
+        "fam,max_size,max_size_len4",
+        [(DYCK, 6, 5), (MOTZKIN, 8, 7), (SKEW_DYCK, 5, 4), (SKEW_MOTZKIN, 7, 6)],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_every_pattern_and_path(self, fam, max_size, max_size_len4):
+        paths = [p for n in range(max_size + 1) for p in generate_paths(fam, n)]
+        for pi in all_patterns(fam, 4):
+            cap = fam.step_count(max_size if len(pi) <= 3 else max_size_len4)
+            pattern = Pattern(pi)
+            for p in paths:
+                if len(p) <= cap:
+                    assert is_member(p, pattern) == reference_is_member(p.steps, pi), (p, pi)
+
+
+class TestMembersByLevel:
+    def test_member_paths_and_count_class_are_views_of_it(self):
+        pattern = Pattern("UFD")
+        levels = members_by_level(MOTZKIN, pattern, 7)
+        table = count_class(MOTZKIN, pattern, 7)
+        for n, of_size in enumerate(levels):
+            assert sorted(s for bucket in of_size.values() for s in bucket) == [
+                p.steps for p in member_paths(MOTZKIN, pattern, n)
+            ]
+            for k, bucket in of_size.items():
+                assert table.counts.get((n, k), 0) == len(bucket)
+                assert all(pattern_height(s, pattern) == k for s in bucket)
+
+
+class TestNegativeSizes:
+    def test_member_paths(self):
+        with pytest.raises(ValueError):
+            member_paths(DYCK, Pattern("U"), -1)
+
+    def test_count_class(self):
+        with pytest.raises(ValueError):
+            count_class(DYCK, Pattern("U"), -2)
+
+    def test_members_by_level(self):
+        with pytest.raises(ValueError):
+            members_by_level(MOTZKIN, Pattern("F"), -1)
+
+    def test_base_series(self):
+        with pytest.raises(ValueError):
+            base_series(DYCK, Pattern("UUD"), 0, -1)
+
+    def test_class_gf(self):
+        from latpath.gf import class_gf
+
+        with pytest.raises(ValueError):
+            class_gf(DYCK, Pattern("U"), -1)

@@ -166,6 +166,10 @@ class TestReversedComplement:
         with pytest.raises(ValueError):
             reversed_complement("UDL")
 
+    def test_rejects_unknown_steps(self):
+        with pytest.raises(ValueError):
+            reversed_complement("UXD")
+
     def test_involution_and_amplitude(self):
         import itertools
 
