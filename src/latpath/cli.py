@@ -15,7 +15,10 @@ import sys
 
 from . import bijection, enumerate as brute, oeis_client
 from .gf import ConsistencyFailure, class_gf, default_order, moebius_coeffs, residual, moebius_step
-from .paths import FAMILIES, Family, Path, Pattern, family as family_by_name, reversed_complement
+from .paths import (
+    FAMILIES, Family, Path, Pattern, _pattern_height, family as family_by_name, profile,
+    reversed_complement,
+)
 from .series import Series
 
 EXIT_OK = 0
@@ -293,7 +296,8 @@ def _verification_checks(level: str, corrupt_base: bool):
             ):
                 for pi in all_patterns(fam, max_len):
                     pattern = Pattern(pi)
-                    sigma = reversed_complement(pattern)
+                    sigma = reversed_complement(pattern).steps
+                    sigma_top = max(profile(sigma))
                     levels = {0, pattern.amplitude}
                     for size, members in enumerate(brute.members_by_level(fam, pattern, max_size)):
                         for k in levels:
@@ -302,7 +306,8 @@ def _verification_checks(level: str, corrupt_base: bool):
                             if len({q.steps for q in image}) != len(dom):
                                 return False
                             for dst in image:
-                                if dst.size != size or dst.pattern_height(sigma) != k:
+                                h = _pattern_height(dst.steps, profile(dst.steps), sigma, sigma_top)
+                                if dst.size != size or h != k:
                                     return False
             return True
 

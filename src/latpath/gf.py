@@ -10,6 +10,7 @@ computed over exact truncated series and cross-checked between routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import enumerate as brute
 from .paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern
@@ -113,10 +114,15 @@ def moebius_coeffs(p: Series, q: Series, u: Series, v: Series) -> MoebiusCoeffs:
 def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
     """Run the level recurrence until the levels vanish at the order.
 
-    Solving the recurrence for the new level gives
-    A_k = p * A_{k-1} * (q + B_{k-1}) / (1 - p * A_{k-1}), a division by a
-    unit since p(0) = 0.  The valuation of A_k grows strictly, so the
-    loop terminates; a defensive cap raises NoConvergence.
+    With P = p * A_{k-1} and t = q + B_{k-1}, the recurrence reads
+    A_k = P * (t + A_k).  Since p(0) = 0, P has valuation v >= 1, so
+    [x^n] A_k = sum_{i=v..n} P[i] * (t + A_k)[n - i] involves only the
+    coefficients of A_k below n: each level is solved online, one
+    coefficient at a time and with no division, by adding every new
+    coefficient into t as soon as it is known (the naive online product
+    of van der Hoeven, "Relax, but don't be too lazy", 2002).  The
+    valuation of A_k grows strictly, so the loop terminates; a defensive
+    cap raises NoConvergence.
     """
     p = spec.p.truncate(min(spec.p.order, order))
     q = spec.q.truncate(min(spec.q.order, order))
@@ -125,19 +131,30 @@ def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
     B = Series.zero(order)
     for s in bases:
         B = B + s
-    A_prev = bases[-1]
+    # Every new level has the order of p * A_{k-1} * (q + B_{k-1}).
+    N = min(p.order, q.order, B.order)
+    p_terms = [(j, c) for j, c in enumerate(p.coeffs) if c]
+    t = [qn + bn for qn, bn in zip(q.coeffs[: N + 1], B.coeffs)]
+    a = bases[-1].coeffs
     k = spec.r
     while True:
         if k > order + spec.r + 2:
             raise NoConvergence(f"levels still nonzero after k={k}")
-        pA = p * A_prev
-        A_next = div(pA * (q + B), 1 - pA)
-        if A_next.is_zero():
+        P = [0] * (N + 1)
+        for j, pj in p_terms:
+            for i in range(N + 1 - j):
+                P[i + j] += pj * a[i]
+        v = next((i for i, c in enumerate(P) if c), N + 1)
+        a = [0] * (N + 1)
+        for n in range(v, N + 1):
+            c = a[n] = sum(map(mul, P[v : n + 1], t[n - v :: -1]))
+            t[n] += c
+        if not any(a):
             break
-        per_level.append(A_next)
-        B = B + A_next
-        A_prev = A_next
+        per_level.append(Series(a))
         k += 1
+    if len(per_level) > len(bases):  # else B keeps the bases' order
+        B = Series(t) - q
     return ClassGF(None, None, spec.u, spec.v, B, tuple(per_level))
 
 

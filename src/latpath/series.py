@@ -54,7 +54,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
-        cs = [_scalar(c) for c in coeffs]
+        cs = [c if type(c) is int else _scalar(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
