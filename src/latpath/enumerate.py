@@ -30,6 +30,7 @@ from .paths import (
     Family,
     Path,
     Pattern,
+    _as_pattern,
     _first_return,
     _pattern_height,
     _prefix_extrema,
@@ -176,10 +177,11 @@ def members_by_level(
 
     An empty pattern string imposes no condition (every path, at level 0).
     """
+    pi = _steps_of(pattern) and _as_pattern(pattern).steps  # "" is no condition
     if max_size < 0:
         raise ValueError(f"size must be >= 0, got {max_size}")
     b = _Budget(family, effective_budget(budget))
-    return _compose(family, _steps_of(pattern), max_size, b)
+    return _compose(family, pi, max_size, b)
 
 
 def generate_paths(family: Family, size: int, budget: int | None = None) -> list[Path]:
@@ -226,7 +228,7 @@ def is_member(path: Path, pattern: Pattern) -> bool:
     family's height condition must hold (e.g. h(U alpha D) >= h(beta)
     for the arch variant, evaluated on the indicated sub-paths).
     """
-    pi = _steps_of(pattern)
+    pi = _as_pattern(pattern).steps
     s = path.steps
     return _is_member(s, profile(s), pi, _prefix_extrema(pi)[0], 0, len(s))
 
@@ -260,19 +262,21 @@ def count_class(
     family: Family, pattern: Pattern, max_size: int, budget: int | None = None
 ) -> ClassCountTable:
     """Count all members by size and level, composing every member."""
+    pattern = _as_pattern(pattern)
     counts = {
         (n, k): len(bucket)
         for n, levels in enumerate(members_by_level(family, pattern, max_size, budget))
         for k, bucket in levels.items()
         if bucket
     }
-    return ClassCountTable(family, Pattern(_steps_of(pattern)), max_size, counts)
+    return ClassCountTable(family, pattern, max_size, counts)
 
 
 def member_paths(
     family: Family, pattern: Pattern, size: int, budget: int | None = None
 ) -> list[Path]:
     """All class members of one size, lexicographic order."""
+    pattern = _as_pattern(pattern)
     return _sorted_paths(family, members_by_level(family, pattern, size, budget)[size])
 
 
@@ -290,19 +294,17 @@ def base_series(family: Family, pattern: Pattern, k: int, order: int) -> Series:
     come from the first-return grammar DP (``latpath.grammar``), one run
     per family, pattern and order for all anchor levels.
     """
-    pi = _steps_of(pattern)
-    r = max(Pattern(pi).amplitude, 1)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    pattern = _as_pattern(pattern)
+    r = max(pattern.amplitude, 1)
     if k < 0 or k > r:
         raise ValueError(f"level {k} outside the anchor range 0..{r}")
-    return Series(list(_base_levels(family, pi, order)[k]))
+    return Series(list(_base_levels(family, pattern.steps, order)[k]))
 
 
 def precompute_base(family: Family, patterns, order: int) -> None:
     """Batch warm-up so per-pattern ``base_series`` calls hit a warm cache."""
     for pattern in patterns:
-        _base_levels(family, _steps_of(pattern), order)
+        _base_levels(family, _as_pattern(pattern).steps, order)
 
 
 def _base_levels(family: Family, pi: str, order: int) -> tuple:

@@ -13,7 +13,7 @@ as a head followed by a tail, each variant is one of two joins:
 
 plus the whole path ``U a L``.  Here h is the pattern height of the
 standalone sub-path.  So members can be counted size by size from the
-members of smaller sizes, keeping of each component only
+members of smaller sizes, keeping of each component only its state:
 
 * ``top``: the largest ordinate at which an occurrence of the pattern
   starts, -1 if there is none (the pattern height is top + max prefix
@@ -24,218 +24,143 @@ members of smaller sizes, keeping of each component only
 An occurrence that is not inside one component touches a step of the
 wrapper, or crosses the head|tail junction; either way it lies in the
 wrapper steps plus the contexts, at ordinates fixed by the boundary steps
-(a component returns to the ordinate it starts from).  A component's
-occurrences reappear in its parent, one higher inside an arch head and at
-the same height in a tail, so no component's top exceeds its parent's:
-dropping every state above the anchor level r is exact for levels 0..r.
+(a component returns to the ordinate it starts from).  So the state of a
+join or a wrap is a scan of the concatenated contexts and wrapper steps.
+States are interned to integer ids, and each (kind, head) keeps a join
+row from tail ids to output ids, so every distinct pair is scanned once.
+A component's occurrences reappear in its parent, one higher inside an
+arch head and at the same height in a tail, so no component's top exceeds
+its parent's: dropping every state above the anchor level r is exact for
+levels 0..r.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .paths import DISPLACEMENT, Family, _prefix_extrema
+from .paths import Family, _prefix_extrema
 
 SEP = "|"
 
 
 def _disp(steps: str) -> int:
-    return sum(DISPLACEMENT[ch][1] for ch in steps)
+    return steps.count("U") - steps.count("D") - steps.count("L")
 
 
 class _Grammar:
-    """Occurrence bookkeeping of one pattern over contexts and skeletons."""
+    """The interned states of one pattern, at levels up to the anchor r."""
 
     def __init__(self, pi: str):
         self.pi = pi
-        self.c = c = len(pi) - 1
+        self.c = len(pi) - 1
         mx, mn = _prefix_extrema(pi)
         self.mp = mx
         self.r = max(mx - mn, 1)
         self.cap = self.r - mx  # largest top of a state at a level <= r
-        # a head ending with pi[:j] and a tail starting with pi[j:] make an
-        # occurrence across the junction, starting at ordinate -disp(pi[:j])
-        self.start = [0] + [-_disp(pi[:j]) for j in range(1, c + 1)]
-        self._scans: dict = {}
+        self.ids: dict = {}  # (context, top) -> id
+        self.ctx: list = []  # id -> context
+        self.top: list = []  # id -> top
+        self.level: list = []  # id -> pattern height
+        self._wraps: dict = {}  # (id, close) -> id
 
-    def height(self, top: int) -> int:
-        return top + self.mp if top >= 0 else 0
+    def state(self, skel: str, top: int = -1) -> int:
+        """The id of the path spelled by a skeleton (steps and component
+        contexts) whose components' occurrences start at most at ``top``;
+        -1 when the path is above the anchor level."""
+        c, pi = self.c, self.pi
+        if pi in skel:
+            # an occurrence lies in one run of steps between separators; a
+            # component's first and last c steps surround its separator,
+            # and it ends at the ordinate it starts from
+            runs = skel.split(SEP)
+            y = 0  # ordinate at the start of the run
+            for j, run in enumerate(runs):
+                i = run.find(pi)
+                while i >= 0:
+                    top = max(top, y + _disp(run[:i]))
+                    i = run.find(pi, i + 1)
+                if j + 1 < len(runs):
+                    y += _disp(run[: len(run) - c]) - _disp(runs[j + 1][:c])
+        if top > self.cap:
+            return -1
+        if SEP in skel or len(skel) > c:
+            skel = skel[:c] + SEP + skel[len(skel) - c :]
+        key = (skel, top)
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = len(self.ctx)
+            self.ctx.append(skel)
+            self.top.append(top)
+            self.level.append(top + self.mp if top >= 0 else 0)
+        return sid
 
-    def scan(self, skel: str) -> tuple[str, int]:
-        """The context of a path spelled by a skeleton (steps and component
-        contexts), and the top of the occurrences the skeleton shows."""
-        hit = self._scans.get(skel)
-        if hit is None:
-            c, pi = self.c, self.pi
-            ords = []
-            y = 0
-            for i, ch in enumerate(skel):
-                if ch == SEP:
-                    # the component's first and last c steps surround the
-                    # separator, and it ends where it starts
-                    y -= _disp(skel[i - c : i]) + _disp(skel[i + 1 : i + 1 + c])
-                ords.append(y)
-                if ch != SEP:
-                    y += DISPLACEMENT[ch][1]
-            top = -1
-            i = skel.find(pi)
-            while i >= 0:
-                if ords[i] > top:
-                    top = ords[i]
-                i = skel.find(pi, i + 1)
-            if SEP in skel or len(skel) > c:
-                ctx = skel[:c] + SEP + skel[len(skel) - c :]
-            else:
-                ctx = skel
-            hit = self._scans[skel] = (ctx, top)
-        return hit
+    def join(self, h: int, t: int) -> int:
+        """The id of head h followed by tail t."""
+        return self.state(self.ctx[h] + self.ctx[t], max(self.top[h], self.top[t]))
 
-    def rsig(self, suf: str) -> int:
-        """Bit j set iff the context's last steps spell pi[:j]."""
-        return sum(1 << j for j in range(1, self.c + 1) if suf.endswith(self.pi[:j]))
+    def wrap(self, a: int, close: str) -> int:
+        """The id of U a <close>."""
+        key = (a, close)
+        sid = self._wraps.get(key)
+        if sid is None:
+            top = self.top[a]
+            sid = self._wraps[key] = self.state(
+                "U" + self.ctx[a] + close, top + 1 if top >= 0 else -1
+            )
+        return sid
 
-    def lsig(self, pre: str) -> int:
-        """Bit j set iff the context's first steps spell pi[j:]."""
-        return sum(1 << j for j in range(1, self.c + 1) if pre.startswith(self.pi[j:]))
-
-    def junction(self, mask: int) -> int:
-        """Top of the occurrences across a head|tail junction whose
-        signatures share the bits of ``mask``."""
-        return max(
-            (self.start[j] for j in range(1, self.c + 1) if mask >> j & 1), default=-1
-        )
-
-
-class _Heads:
-    """The heads of one size, joined to tails under one membership rule.
-
-    Long contexts (those with a separator) are joined through signatures:
-    the output context is the head's first steps plus the tail's last
-    steps, and the junction's occurrences depend only on the head's
-    right signature and the tail's left signature.  Short contexts are
-    joined by scanning the concatenated skeleton.
-    """
-
-    def __init__(self, g: _Grammar, states: dict, cond):
-        self.g = g
-        self.cond = cond
-        self.short = [(k, n) for k, n in states.items() if SEP not in k[0]]
-        self.long = [(k, n) for k, n in states.items() if SEP in k[0]]
-        agg: dict = {}
-        c = g.c
-        for (ctx, top), n in self.long:
-            key = (ctx[:c], g.rsig(ctx[c + 1 :]), top)
-            agg[key] = agg.get(key, 0) + n
-        self._agg = agg
-        self._kernels: dict = {}
-
-    def kernel(self, lsig: int, ttop: int) -> list:
-        """(first steps, top) of head + tail, summed over the long heads,
-        for a long tail with this left signature and top."""
-        key = (lsig, ttop)
-        out = self._kernels.get(key)
-        if out is None:
-            g, cond, acc = self.g, self.cond, {}
-            for (pre, rsig, htop), n in self._agg.items():
-                if not cond(htop, ttop):
-                    continue
-                top = max(htop, ttop, g.junction(rsig & lsig))
-                if top <= g.cap:
-                    acc[(pre, top)] = acc.get((pre, top), 0) + n
-            out = self._kernels[key] = list(acc.items())
+    def wraps(self, states: dict, close: str, nonempty: bool) -> dict:
+        """The paths U a <close> for the members a of one size."""
+        out: dict = {}
+        for a, n in states.items():
+            if nonempty and not self.ctx[a]:
+                continue
+            sid = self.wrap(a, close)
+            if sid >= 0:
+                out[sid] = out.get(sid, 0) + n
         return out
-
-
-class _Tails:
-    """The members of one size, grouped for joining as tails."""
-
-    def __init__(self, g: _Grammar, states: dict):
-        self.all = list(states.items())
-        self.short = [(k, n) for k, n in states.items() if SEP not in k[0]]
-        groups: dict = {}
-        c = g.c
-        for (ctx, top), n in states.items():
-            if SEP in ctx:
-                group = groups.setdefault((g.lsig(ctx[:c]), top), [])
-                group.append((ctx[c + 1 :], n))
-        self.groups = list(groups.items())
-
-
-def _join(g: _Grammar, heads: _Heads, tails: _Tails, out: dict) -> None:
-    """Add every member head + tail of the two sizes to ``out``."""
-    for (lsig, ttop), sufs in tails.groups:
-        for (pre, top), nh in heads.kernel(lsig, ttop):
-            pre += SEP
-            for suf, nt in sufs:
-                key = (pre + suf, top)
-                out[key] = out.get(key, 0) + nh * nt
-    _join_scanned(g, heads.cond, heads.short, tails.all, out)
-    _join_scanned(g, heads.cond, heads.long, tails.short, out)
-
-
-def _join_scanned(g: _Grammar, cond, heads: list, tails: list, out: dict) -> None:
-    for (hctx, htop), nh in heads:
-        for (tctx, ttop), nt in tails:
-            if cond(htop, ttop):
-                ctx, jtop = g.scan(hctx + tctx)
-                top = max(htop, ttop, jtop)
-                if top <= g.cap:
-                    key = (ctx, top)
-                    out[key] = out.get(key, 0) + nh * nt
-
-
-def _wrap(g: _Grammar, states: dict, close: str, nonempty: bool) -> dict:
-    """The paths U a <close> for the members a of one size."""
-    out: dict = {}
-    for (ctx, top), n in states.items():
-        if nonempty and not ctx:
-            continue
-        wctx, wtop = g.scan("U" + ctx + close)
-        top = max(top + 1 if top >= 0 else -1, wtop)
-        if top <= g.cap:
-            key = (wctx, top)
-            out[key] = out.get(key, 0) + n
-    return out
 
 
 @lru_cache(maxsize=256)
 def base_levels(family: Family, pi: str, order: int) -> tuple:
     """Member counts of the levels 0..max(amplitude, 1), each a tuple over
     the sizes 0..order."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     g = _Grammar(pi)
-    h = g.height
+    level = g.level
     unit = 1 if family.semilength else 2  # size of the wrapper U..D or U..L
     has_f = "F" in family.alphabet
     has_l = "L" in family.alphabet
+    rows: dict = {}  # (is_arch, head id) -> {tail id: output id, or -1}
 
-    def arch_rule(htop, ttop):
-        return h(htop) >= h(ttop)
+    def heads(is_arch: bool, states: dict) -> list:
+        return [(is_arch, h, rows.setdefault((is_arch, h), {}), n) for h, n in states.items()]
 
-    def flat_rule(htop, ttop):
-        return h(ttop) == 0
-
-    members = [{("", -1): 1}]
-    tails = [_Tails(g, members[0])]
-    arches: list = [None]
-    flats: list = [None]
+    members = [{g.state(""): 1}]
+    heads_of = [[]]  # size -> [(is_arch, head id, join row, count)]
     for n in range(1, order + 1):
         below = members[n - unit] if n >= unit else {}
-        arches.append(_Heads(g, _wrap(g, below, "D", False), arch_rule))
         flat: dict = {}
         if has_f and n == 1:
-            flat = {g.scan("F"): 1}
+            flat = {g.state("F"): 1}
         elif has_f and has_l and n > unit:
-            flat = _wrap(g, members[n - unit - 1], "LF", True)
-        flats.append(_Heads(g, flat, flat_rule))
-        out = _wrap(g, below, "L", True) if has_l else {}
+            flat = g.wraps(members[n - unit - 1], "LF", True)
+        heads_of.append(heads(True, g.wraps(below, "D", False)) + heads(False, flat))
+        out = g.wraps(below, "L", True) if has_l else {}
         for k in range(1, n + 1):
-            for heads in (arches[k], flats[k]):
-                if heads.short or heads.long:
-                    _join(g, heads, tails[n - k], out)
+            tails = members[n - k]
+            for is_arch, h, row, nh in heads_of[k]:
+                for t, nt in tails.items():
+                    sid = row.get(t)
+                    if sid is None:
+                        ok = level[h] >= level[t] if is_arch else level[t] == 0
+                        sid = row[t] = g.join(h, t) if ok else -1
+                    if sid >= 0:
+                        out[sid] = out.get(sid, 0) + nh * nt
         members.append(out)
-        tails.append(_Tails(g, out))
     levels = [[0] * (order + 1) for _ in range(g.r + 1)]
     for n, states in enumerate(members):
-        for (_ctx, top), count in states.items():
-            levels[h(top)][n] += count
+        for sid, count in states.items():
+            levels[level[sid]][n] += count
     return tuple(tuple(row) for row in levels)

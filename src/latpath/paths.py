@@ -150,6 +150,12 @@ class Pattern:
         return f"Pattern({self.steps!r})"
 
 
+def _as_pattern(obj) -> Pattern:
+    """A pattern given as a Pattern or a step string; a string is validated,
+    so an empty one or one with unknown steps raises ValueError."""
+    return obj if isinstance(obj, Pattern) else Pattern(_steps_of(obj))
+
+
 def height(path) -> int:
     """Maximal ordinate reached by the path; 0 for the empty path."""
     return max(profile(_steps_of(path)))
@@ -183,7 +189,7 @@ def pattern_height(path, pattern) -> int:
     height is the maximal ordinate over all its points, endpoints included.
     """
     s = _steps_of(path)
-    p = _steps_of(pattern)
+    p = _as_pattern(pattern).steps
     prof = profile(s)
     return _pattern_height(s, prof, p, _prefix_extrema(p)[0])
 

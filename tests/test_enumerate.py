@@ -221,13 +221,15 @@ class TestComposerAgainstDefinition:
 class TestNoOracleState:
     def test_no_module_level_containers(self):
         from latpath import enumerate as brute
+        from latpath import grammar
 
-        held = [
-            name
-            for name, value in vars(brute).items()
-            if not name.startswith("__") and isinstance(value, (dict, list, set))
-        ]
-        assert held == []
+        for module in (brute, grammar):
+            held = [
+                name
+                for name, value in vars(module).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))
+            ]
+            assert held == [], module.__name__
 
     def test_cold_and_warm_calls_agree(self):
         from latpath import enumerate as brute
@@ -311,8 +313,45 @@ class TestNegativeSizes:
         with pytest.raises(ValueError):
             base_series(DYCK, Pattern("UUD"), 0, -1)
 
+    def test_precompute_base(self):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            precompute_base(DYCK, ["U"], -1)
+
     def test_class_gf(self):
         from latpath.gf import class_gf
 
         with pytest.raises(ValueError):
             class_gf(DYCK, Pattern("U"), -1)
+
+
+class TestBadPatternStrings:
+    """A pattern string is validated before any work: an unknown step or an
+    empty pattern raises Pattern's ValueError.  A zero budget shows that no
+    path is composed first."""
+
+    def test_count_class(self):
+        with pytest.raises(ValueError, match="unknown step kinds"):
+            count_class(DYCK, "X", 4)
+        with pytest.raises(ValueError, match="length >= 1"):
+            count_class(DYCK, "", 20, budget=0)
+
+    def test_member_paths(self):
+        with pytest.raises(ValueError, match="unknown step kinds"):
+            member_paths(DYCK, "X", 4, budget=0)
+
+    def test_members_by_level(self):
+        with pytest.raises(ValueError, match="unknown step kinds"):
+            members_by_level(DYCK, "X", 4, budget=0)
+        # the empty string stays "no condition": every path, at level 0
+        assert [len(m[0]) for m in members_by_level(DYCK, "", 4)] == CATALAN[:5]
+
+    def test_is_member(self):
+        path = Path("UUDD", DYCK)
+        with pytest.raises(ValueError, match="unknown step kinds"):
+            is_member(path, "UX")
+        with pytest.raises(ValueError, match="length >= 1"):
+            is_member(path, "")
+
+    def test_precompute_base(self):
+        with pytest.raises(ValueError, match="unknown step kinds"):
+            precompute_base(DYCK, ["X"], 4)

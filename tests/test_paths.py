@@ -137,6 +137,12 @@ class TestPatternHeight:
     def test_overlapping_occurrences(self):
         assert pattern_height(Path("UUUDDD", DYCK), Pattern("UU")) == 3
 
+    def test_bad_pattern_strings(self):
+        with pytest.raises(ValueError, match="unknown step kinds"):
+            pattern_height("UD", "X")
+        with pytest.raises(ValueError, match="length >= 1"):
+            pattern_height("UDUD", "")
+
 
 class TestAmplitude:
     @pytest.mark.parametrize(
