@@ -10,7 +10,10 @@ is never built.  Each size's members are kept bucketed by pattern height,
 so a height condition selects whole buckets, and each new member's level
 comes from a scan of its whole string.  With no pattern every level is 0
 and every condition holds, so the same composer generates every path of
-the family.
+the family.  ``count_class`` needs only counts at its own size: it keeps
+the smaller sizes and counts its own without keeping it, building each
+batch of that size and keeping only the strings that contain the pattern,
+until their levels are scanned.
 
 Every call composes from scratch and keeps nothing afterwards; the path
 budget charges each path the call builds, smaller sizes included, so a
@@ -91,21 +94,48 @@ class _Budget:
             )
 
 
-def _file(into: dict, strings: list, pi: str, mp: int) -> None:
-    # Add the strings to the level buckets; the level of each is the pattern
-    # height of its whole string, and 0 when there is no pattern.
+def _file(into: dict, heads: list, tails: list, pi: str, mp: int, end: str = "") -> list:
+    # Build every product a + b + end, add it to the level buckets and return
+    # the products; the level of each is the pattern height of its whole
+    # string, and 0 when there is no pattern.  An empty end is not added:
+    # that concatenation alone costs about 1% of the composer's time.
+    if end:
+        strings = [a + b + end for a in heads for b in tails]
+    else:
+        strings = [a + b for a in heads for b in tails]
     if not pi:
         into.setdefault(0, []).extend(strings)
-        return
+        return strings
     into.setdefault(0, []).extend([s for s in strings if pi not in s])
     for s in strings:
         if pi in s:
             h = _pattern_height(s, profile(s), pi, mp)
             into.setdefault(h, []).append(s)
+    return strings
 
 
-def _compose(fam: Family, pi: str, size: int, budget: _Budget) -> list[dict]:
+def _tally(into: dict, heads: list, tails: list, pi: str, mp: int, end: str = "") -> list:
+    # Count the products a + b + end by level, keeping and returning none of
+    # them: the products free of pi are at level 0 and counted by
+    # subtraction, and only the ones that contain it are held, until their
+    # whole strings are scanned.
+    if end:
+        hits = [s for a in heads for b in tails if pi in (s := a + b + end)]
+    else:
+        hits = [s for a in heads for b in tails if pi in (s := a + b)]
+    into[0] = into.get(0, 0) + len(heads) * len(tails) - len(hits)
+    for s in hits:
+        h = _pattern_height(s, profile(s), pi, mp)
+        into[h] = into.get(h, 0) + 1
+    return []
+
+
+def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) -> list[dict]:
     """The members of sizes 0..size, each size as a dict level -> strings.
+
+    With ``keep_last`` false the last item maps each level to the number
+    of members of that size instead, and no member of that size outlives
+    the batch it is built in; this needs a nonempty ``pi``.
 
     An empty ``pi`` imposes no condition: the result is every path of the
     family, all at level 0.  Each size is built from the kept smaller ones:
@@ -120,6 +150,8 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget) -> list[dict]:
     step-count families.  The U/L overlap rule holds throughout, because
     an axis-returning L is followed only by F.
     """
+    if size == 0 and not keep_last:
+        return [{0: 1}]
     mp = _prefix_extrema(pi)[0]
     unit = 1 if fam.semilength else 2
     has_f = "F" in fam.alphabet
@@ -129,34 +161,35 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget) -> list[dict]:
     lefts: list[list] = [[]]  # size -> U a L members
     flats: list[list] = [[]]  # size -> F g members
     for n in range(1, size + 1):
+        tally = n == size and not keep_last
+        file = _tally if tally else _file
         out: dict = {}
-        arch: dict = {}
+        arch: dict = out if tally else {}  # arches of the last size head nothing
         left: list = []
         flat: list = []
         if n >= unit:
             alphas = [a for bucket in members[n - unit].values() for a in bucket]
             budget.spend(len(alphas), n)
-            _file(arch, ["U" + a + "D" for a in alphas], pi, mp)
-            if has_l:
-                left = ["U" + a + "L" for a in alphas if a]
-                budget.spend(len(left), n)
+            file(arch, ["U"], alphas, pi, mp, "D")
+            if has_l and n > unit:  # a is nonempty
+                budget.spend(len(alphas), n)
+                left = file(out, ["U"], alphas, pi, mp, "L")
         if has_f:
             gammas = members[n - 1].get(0, [])
             budget.spend(len(gammas), n)
-            flat = ["F" + g for g in gammas]
+            flat = file(out, ["F"], gammas, pi, mp)
         for i in range(unit, n):
             tails = members[n - i]
             for ha, heads in arches[i].items():
                 betas = [b for hb, bucket in tails.items() if hb <= ha for b in bucket]
                 budget.spend(len(heads) * len(betas), n)
-                _file(out, [a + b for a in heads for b in betas], pi, mp)
+                file(out, heads, betas, pi, mp)
             if lefts[i] and flats[n - i]:
                 budget.spend(len(lefts[i]) * len(flats[n - i]), n)
-                _file(out, [a + f for a in lefts[i] for f in flats[n - i]], pi, mp)
-        _file(out, left, pi, mp)
-        _file(out, flat, pi, mp)
-        for h, bucket in arch.items():
-            out.setdefault(h, []).extend(bucket)
+                file(out, lefts[i], flats[n - i], pi, mp)
+        if not tally:
+            for h, bucket in arch.items():
+                out.setdefault(h, []).extend(bucket)
         members.append(out)
         arches.append(arch)
         lefts.append(left)
@@ -178,10 +211,15 @@ def members_by_level(
     An empty pattern string imposes no condition (every path, at level 0).
     """
     pi = _steps_of(pattern) and _as_pattern(pattern).steps  # "" is no condition
+    return _oracle(family, pi, max_size, budget, keep_last=True)
+
+
+def _oracle(
+    family: Family, pi: str, max_size: int, budget: int | None, keep_last: bool
+) -> list[dict]:
     if max_size < 0:
         raise ValueError(f"size must be >= 0, got {max_size}")
-    b = _Budget(family, effective_budget(budget))
-    return _compose(family, pi, max_size, b)
+    return _compose(family, pi, max_size, _Budget(family, effective_budget(budget)), keep_last)
 
 
 def generate_paths(family: Family, size: int, budget: int | None = None) -> list[Path]:
@@ -261,14 +299,21 @@ class ClassCountTable:
 def count_class(
     family: Family, pattern: Pattern, max_size: int, budget: int | None = None
 ) -> ClassCountTable:
-    """Count all members by size and level, composing every member."""
+    """Count all members by size and level.
+
+    Composes the members of every size below ``max_size`` and counts those
+    of size ``max_size`` batch by batch without keeping them; the budget is
+    charged the same as for ``members_by_level``.
+    """
     pattern = _as_pattern(pattern)
+    *kept, last = _oracle(family, pattern.steps, max_size, budget, keep_last=False)
     counts = {
         (n, k): len(bucket)
-        for n, levels in enumerate(members_by_level(family, pattern, max_size, budget))
+        for n, levels in enumerate(kept)
         for k, bucket in levels.items()
         if bucket
     }
+    counts.update({(max_size, k): c for k, c in last.items() if c})
     return ClassCountTable(family, pattern, max_size, counts)
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 
@@ -282,18 +283,80 @@ class TestMembershipAgainstReference:
                     assert is_member(p, pattern) == reference_is_member(p.steps, pi), (p, pi)
 
 
+VIEW_SIZES = [(DYCK, 9), (MOTZKIN, 11), (SKEW_DYCK, 7), (SKEW_MOTZKIN, 10)]
+
+
 class TestMembersByLevel:
-    def test_member_paths_and_count_class_are_views_of_it(self):
-        pattern = Pattern("UFD")
-        levels = members_by_level(MOTZKIN, pattern, 7)
-        table = count_class(MOTZKIN, pattern, 7)
-        for n, of_size in enumerate(levels):
-            assert sorted(s for bucket in of_size.values() for s in bucket) == [
-                p.steps for p in member_paths(MOTZKIN, pattern, n)
-            ]
-            for k, bucket in of_size.items():
-                assert table.counts.get((n, k), 0) == len(bucket)
-                assert all(pattern_height(s, pattern) == k for s in bucket)
+    """``member_paths`` and ``count_class`` are views of ``members_by_level``.
+    ``count_class`` counts its own size without keeping it, so it is called
+    at every size from 0 up, beyond ``TestComposerAgainstDefinition``'s."""
+
+    @pytest.mark.parametrize("fam,max_size", VIEW_SIZES, ids=lambda v: getattr(v, "name", v))
+    def test_member_paths_and_count_class_are_views_of_it(self, fam, max_size):
+        for pi in all_patterns(fam, 3):
+            pattern = Pattern(pi)
+            levels = members_by_level(fam, pattern, max_size)
+            for n, of_size in enumerate(levels):
+                assert sorted(s for bucket in of_size.values() for s in bucket) == [
+                    p.steps for p in member_paths(fam, pattern, n)
+                ], (pi, n)
+                table = count_class(fam, pattern, n)
+                assert table.counts == {
+                    (m, k): len(bucket)
+                    for m, kept in enumerate(levels[: n + 1])
+                    for k, bucket in kept.items()
+                    if bucket
+                }, (pi, n)
+                for k, bucket in of_size.items():
+                    assert all(pattern_height(s, pattern) == k for s in bucket), (pi, n, k)
+
+
+class TestCountClassBudget:
+    """``count_class`` charges the budget exactly as ``members_by_level``,
+    although it keeps no member of its own size."""
+
+    @pytest.mark.parametrize(
+        "fam,pi,max_size",
+        [(DYCK, "UDU", 7), (MOTZKIN, "FFD", 7), (SKEW_DYCK, "DDL", 5), (SKEW_MOTZKIN, "UFL", 6)],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_budget_parity(self, fam, pi, max_size):
+        # every path built is a member and the empty path is free
+        total = sum(count_class(fam, pi, max_size).counts.values()) - 1
+        outcomes = set()
+        for budget in range(total + 1):
+            results = []
+            for oracle in (count_class, members_by_level):
+                try:
+                    oracle(fam, pi, max_size, budget=budget)
+                    results.append(None)
+                except BudgetExceeded as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], budget
+            outcomes.add(results[0] is None)
+        assert outcomes == {False, True}
+        with pytest.raises(BudgetExceeded, match=f"need {total} paths built"):
+            count_class(fam, pi, max_size, budget=total - 1)
+
+
+class TestCountClassMemory:
+    @pytest.mark.parametrize(
+        "fam,pi,max_size",
+        [(MOTZKIN, "FFD", 12), (SKEW_DYCK, "DDL", 8)],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_own_size_is_not_kept(self, fam, pi, max_size):
+        # The largest size holds most members, so counting it without
+        # keeping it lowers the traced peak well below the kept members'.
+        def traced_peak(oracle):
+            tracemalloc.start()
+            try:
+                oracle(fam, pi, max_size)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(count_class) < 0.8 * traced_peak(members_by_level)
 
 
 class TestNegativeSizes:
