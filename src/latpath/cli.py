@@ -16,7 +16,7 @@ import sys
 from . import bijection, enumerate as brute, oeis_client
 from .gf import ConsistencyFailure, class_gf, default_order, moebius_coeffs, residual, moebius_step
 from .paths import (
-    FAMILIES, Family, Path, Pattern, _pattern_height, family as family_by_name, profile,
+    FAMILIES, Family, Pattern, _prefix_extrema, family as family_by_name, profile,
     reversed_complement,
 )
 from .series import Series
@@ -112,20 +112,19 @@ def render_table(rows: list[dict], fam: Family, n: int, fmt: str) -> str:
         return json.dumps(
             {"family": fam.name, "n": n, "rows": rows}, indent=2, sort_keys=True
         ) + "\n"
-    labels = [", ".join(row["patterns"]) for row in rows]
     if fmt == "csv":
-        lines = ["patterns," + ",".join(f"a{j}" for j in range(1, n + 1))]
-        for row, label in zip(rows, labels):
-            lines.append(
-                "+".join(row["patterns"]) + "," + ",".join(map(str, row["values"]))
-            )
+        lines = [",".join(["patterns", *(f"a{j}" for j in range(1, n + 1))])]
+        for row in rows:
+            lines.append(",".join(["+".join(row["patterns"]), *map(str, row["values"])]))
         return "\n".join(lines) + "\n"
     # text-table
+    labels = [", ".join(row["patterns"]) for row in rows]
     width = max(len(s) for s in labels)
     header = f"{'pattern h_pi':{width}} | a_n, 1 <= n <= {n}"
     lines = [header, "-" * len(header)]
     for row, label in zip(rows, labels):
-        lines.append(f"{label:{width}} | " + ", ".join(map(str, row["values"])))
+        values = ", ".join(map(str, row["values"]))
+        lines.append(f"{label:{width}} |" + (f" {values}" if values else ""))
     return "\n".join(lines) + "\n"
 
 
@@ -287,27 +286,26 @@ def _verification_checks(level: str, corrupt_base: bool):
             return True
 
         def phi_preserving():
-            # checks injectivity and size/level preservation; that the image
-            # is exactly the sibling class is checked by the acceptance suite;
-            # sizes up to 10 steps
+            # the images of the pi-class at each size (up to 10 steps) and
+            # level in {0, r} equal the sibling class's members, one per
+            # member: injective, size- and level-preserving, and onto.  Each
+            # pattern list is closed under reversed complement.
             for fam, max_len, max_size in (
                 (FAMILIES["dyck"], 3, 5),
                 (FAMILIES["motzkin"], 2, 10),
             ):
                 for pi in all_patterns(fam, max_len):
-                    pattern = Pattern(pi)
-                    sigma = reversed_complement(pattern).steps
-                    sigma_top = max(profile(sigma))
-                    levels = {0, pattern.amplitude}
-                    for size, members in enumerate(brute.members_by_level(fam, pattern, max_size)):
-                        for k in levels:
-                            dom = [Path(s, fam) for s in members.get(k, [])]
-                            image = [bijection.phi(p, pattern) for p in dom]
-                            if len({q.steps for q in image}) != len(dom):
-                                return False
-                            for dst in image:
-                                h = _pattern_height(dst.steps, profile(dst.steps), sigma, sigma_top)
-                                if dst.size != size or h != k:
+                    sigma = reversed_complement(pi)
+                    if sigma < pi:
+                        continue
+                    classes = {p: brute.members_by_level(fam, p, max_size) for p in {pi, sigma}}
+                    for src, dst in {(pi, sigma), (sigma, pi)}:
+                        mp, mn = _prefix_extrema(src)
+                        for members, targets in zip(classes[src], classes[dst]):
+                            for k in {0, mp - mn}:
+                                dom = members.get(k, [])
+                                image = {bijection._phi(s, profile(s), src, mp, 0) for s in dom}
+                                if len(image) != len(dom) or image != set(targets.get(k, [])):
                                     return False
             return True
 

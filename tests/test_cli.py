@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from latpath import bijection
-from latpath.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VERIFY_FAILED, main
+from latpath import bijection, enumerate as brute
+from latpath.cli import (
+    EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VERIFY_FAILED, _verification_checks, main,
+)
 from latpath.paths import pattern_height, reversed_complement
 
 
@@ -48,6 +50,18 @@ class TestTable:
         assert lines[0] == "patterns,a1,a2,a3,a4"
         assert "D+U,1,2,4,9" in lines
 
+    @pytest.mark.parametrize("fmt, row", [("text-table", "D, U |"), ("csv", "D+U")])
+    def test_no_trailing_spaces_at_size_zero(self, capsys, fmt, row):
+        code, out, _ = run(
+            capsys, "table", "--family", "dyck", "--n", "0",
+            "--max-pattern-len", "1", "--format", fmt,
+        )
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[-1] == row
+        assert all(line == line.rstrip() and not line.endswith(",") for line in lines)
+        assert out.endswith("\n")
+
     def test_cross_verification_passes(self, capsys):
         code, _, _ = run(
             capsys, "table", "--family", "dyck", "--n", "5",
@@ -62,8 +76,6 @@ class TestTable:
         assert "1, 2, 5, 13, 34, 89, 234, 621, 1669" in out  # DDU, DUU row
 
     def test_budget_exhaustion_exit_code(self, capsys):
-        from latpath import enumerate as brute
-
         brute.clear_caches()
         code, _, err = run(
             capsys, "table", "--family", "skew-dyck", "--n", "8", "--budget", "50",
@@ -145,8 +157,40 @@ class TestVerify:
     def test_full_level_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "full")
         assert code == EXIT_OK
-        assert "reversed-complement series equality" in out
-        assert "FAIL" not in out
+        assert out.splitlines() == [
+            "ok    oracle agreement dyck (len<=3, order 8)",
+            "ok    quadratic residuals dyck",
+            "ok    moebius step law dyck",
+            "ok    oracle agreement motzkin (len<=2, order 9)",
+            "ok    quadratic residuals motzkin",
+            "ok    moebius step law motzkin",
+            "ok    oracle agreement skew-dyck (len<=2, order 7)",
+            "ok    quadratic residuals skew-dyck",
+            "ok    moebius step law skew-dyck",
+            "ok    oracle agreement skew-motzkin (len<=1, order 9)",
+            "ok    quadratic residuals skew-motzkin",
+            "ok    moebius step law skew-motzkin",
+            "ok    reversed-complement series equality",
+            "ok    explicit map injective, size- and level-preserving",
+            "all checks passed",
+        ]
+        assert out.endswith("\n")
+
+    def test_map_check_composes_each_pattern_once(self, monkeypatch):
+        # the check walks sibling pairs {pi, sigma} and composes each class
+        # once: 14 Dyck patterns (length <= 3) and 12 Motzkin (length <= 2)
+        real = brute.members_by_level
+        composed = []
+
+        def counting(fam, pattern, max_size, budget=None):
+            composed.append((fam.name, pattern))
+            return real(fam, pattern, max_size, budget)
+
+        monkeypatch.setattr(brute, "members_by_level", counting)
+        checks = dict(_verification_checks("full", False))
+        assert checks["explicit map injective, size- and level-preserving"]()
+        assert len(composed) == 26
+        assert len(set(composed)) == 26
 
 
 class TestVerifyCatchesBrokenMap:
@@ -186,6 +230,16 @@ class TestVerifyCatchesBrokenMap:
             return s[lo:] if pi == "DUU" else real(s, prof, pi, mp, lo)
 
         monkeypatch.setattr(bijection, "_phi", identity_on_duu)
+        self.run_full(capsys)
+
+    def test_map_missing_sibling_members(self, capsys, monkeypatch):
+        # the plain reversed complement is injective and keeps each path's
+        # size and sigma-level, but sends UDUUDDUD under DUU outside the DDU
+        # class, so its images miss some of the sibling's members
+        def plain(s, prof, pi, mp, lo):
+            return reversed_complement(s[lo:])
+
+        monkeypatch.setattr(bijection, "_phi", plain)
         self.run_full(capsys)
 
 
