@@ -27,6 +27,7 @@ from .paths import (
     Family,
     Path,
     Pattern,
+    _COMPLEMENT,
     _first_return,
     _pattern_height,
     _prefix_extrema,
@@ -72,13 +73,17 @@ def _holds_component(pi: str) -> bool:
 
 def _phi(s: str, prof, pi: str, mp: int, lo: int) -> str:
     # The image of the suffix s[lo:], which starts on the axis, on the
-    # ordinates prof of s.
-    if set(pi) == {"F"} or s.find(pi, lo) < 0:
-        return reversed_complement(s[lo:])
+    # ordinates prof of s; prof may be None, and is then computed only if
+    # the suffix needs more than its reversed complement.
+    if not pi.strip("F") or s.find(pi, lo) < 0:  # all-F pi, or pi absent
+        return s[lo:][::-1].translate(_COMPLEMENT)
+    if prof is None:
+        prof = profile(s)
     variant, j = _first_return(s, prof, lo, len(s))
     if variant == "UaDb":
         if _pattern_height(s, prof, pi, mp, lo, j) > 0:
-            return "U" + reversed_complement(s[lo + 1 : j - 1]) + "D" + _phi(s, prof, pi, mp, j)
+            alpha = s[lo + 1 : j - 1][::-1].translate(_COMPLEMENT)
+            return "U" + alpha + "D" + _phi(s, prof, pi, mp, j)
     elif variant != "Fg":
         raise DomainError("the map is defined on flat-step-free arch families only")
     # The head and the tail both avoid pi (membership), so every occurrence
@@ -91,8 +96,8 @@ def _phi(s: str, prof, pi: str, mp: int, lo: int) -> str:
     head = s[lo:j]
     cuts = [i for i in range(j, len(s) + 1) if prof[i] == 0]  # b1...bm's bounds
     if pi in s[cuts[-2] :] + head:
-        return reversed_complement(s[j:] + head)
-    return reversed_complement(s[cuts[1] :] + head + s[j : cuts[1]])
+        return (s[j:] + head)[::-1].translate(_COMPLEMENT)
+    return (s[cuts[1] :] + head + s[j : cuts[1]])[::-1].translate(_COMPLEMENT)
 
 
 def phi(path: Path, pattern: Pattern) -> Path:

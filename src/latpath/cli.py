@@ -16,7 +16,7 @@ import sys
 from . import bijection, enumerate as brute, oeis_client
 from .gf import ConsistencyFailure, class_gf, default_order, moebius_coeffs, residual, moebius_step
 from .paths import (
-    FAMILIES, Family, Pattern, _prefix_extrema, family as family_by_name, profile,
+    FAMILIES, Family, Pattern, _prefix_extrema, family as family_by_name,
     reversed_complement,
 )
 from .series import Series
@@ -304,7 +304,7 @@ def _verification_checks(level: str, corrupt_base: bool):
                         for members, targets in zip(classes[src], classes[dst]):
                             for k in {0, mp - mn}:
                                 dom = members.get(k, [])
-                                image = {bijection._phi(s, profile(s), src, mp, 0) for s in dom}
+                                image = {bijection._phi(s, None, src, mp, 0) for s in dom}
                                 if len(image) != len(dom) or image != set(targets.get(k, [])):
                                     return False
             return True

@@ -7,13 +7,21 @@ class: a nonempty member is U a D b with h(U a D) >= h(b), F g with
 h(g) = 0, U a L with a nonempty, or U a L F g with a nonempty and
 h(g) = 0, every component a member.  A path with a non-member component
 is never built.  Each size's members are kept bucketed by pattern height,
-so a height condition selects whole buckets, and each new member's level
-comes from a scan of its whole string.  With no pattern every level is 0
-and every condition holds, so the same composer generates every path of
-the family.  ``count_class`` needs only counts at its own size: it keeps
-the smaller sizes and counts its own without keeping it, building each
-batch of that size and keeping only the strings that contain the pattern,
-until their levels are scanned.
+so a height condition selects whole buckets.  A member is kept as tagged
+bytes, one byte per step naming the step and the ordinate it starts at, so
+joining two members is a concatenation and raising one under an arch is
+one ``translate``.  The products of each join are built by ``bytes.join``
+in batches of a few thousand, each product after a separator byte that no
+tag uses, and each product's level is read off its whole tagged string: a
+batch free of the untagged pattern is all at level 0, and otherwise the
+pattern tagged at each start ordinate is searched for from the highest
+down, so a product's first hit gives its level.  ``members_by_level``
+returns step strings; paths that can reach above ordinate 61 do not fit
+the tags, and sizes that allow them raise ValueError.  With no pattern
+every level is 0 and every condition holds, so the same composer generates
+every path of the family.  ``count_class`` needs only counts at its own
+size: it keeps the smaller sizes and counts its own batch by batch without
+keeping it.
 
 Every call composes from scratch and keeps nothing afterwards; the path
 budget charges each path the call builds, smaller sizes included, so a
@@ -28,8 +36,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress
 
 from .paths import (
+    STEP_KINDS,
     Family,
     Path,
     Pattern,
@@ -94,44 +104,128 @@ class _Budget:
             )
 
 
-def _file(into: dict, heads: list, tails: list, pi: str, mp: int, end: str = "") -> list:
-    # Build every product a + b + end, add it to the level buckets and return
-    # the products; the level of each is the pattern height of its whole
-    # string, and 0 when there is no pattern.  An empty end is not added:
-    # that concatenation alone costs about 1% of the composer's time.
-    if end:
-        strings = [a + b + end for a in heads for b in tails]
+# A member is kept as tagged bytes: the step that starts at ordinate y is
+# the byte 4*y + code (U, D, F, L = 0..3).  Every member starts and ends on
+# the axis, so a + b is tagged by concatenation and U a D by raising a's
+# tags one ordinate.  Tags stay below the separator 0xFF between the
+# products of a batch, so no match of a tagged or untagged pattern crosses
+# two products.
+_TOP = 61  # highest ordinate held: tags stay at or below 4 * 61 + 3 = 247
+_SEP = b"\xff"
+_RAISE = bytes.maketrans(bytes(range(4 * _TOP)), bytes(range(4, 4 * _TOP + 4)))
+_UNTAG = bytes.maketrans(bytes(range(256)), (STEP_KINDS * 64)[:255].encode() + b"|")
+_U, _D, _F, _L = b"\x00", b"\x05", b"\x02", b"\x07"  # U, F start at 0; D, L at 1
+_BATCH = 4096  # products per batch: bounds the transient bytes of a group
+
+
+def _highest(fam: Family, size: int) -> int:
+    # the highest ordinate a path of the size can reach
+    return size if fam.semilength else size // 2
+
+
+def _untag(bucket: list) -> list[str]:
+    return _SEP.join(bucket).translate(_UNTAG).decode().split("|")
+
+
+def _joins(heads: list, tails: list):
+    # The products a + b, each after a separator, joined in C in batches of
+    # about _BATCH products, with the number each batch holds.  The longer
+    # list is the inner one, joined with each item of the other.
+    if len(heads) <= len(tails):
+        inner, outer = tails, heads
+
+        def glue(a, chunk):
+            return _SEP + a + (_SEP + a).join(chunk)
+
     else:
-        strings = [a + b for a in heads for b in tails]
+        inner, outer = heads, tails
+
+        def glue(b, chunk):
+            return _SEP + (b + _SEP).join(chunk) + b
+
+    for lo in range(0, len(inner), _BATCH):
+        chunk = inner[lo : lo + _BATCH]
+        step = max(1, _BATCH // len(chunk))
+        for at in range(0, len(outer), step):
+            run = outer[at : at + step]
+            yield b"".join([glue(x, chunk) for x in run]), len(run) * len(chunk)
+
+
+def _arches(alphas: list, end: bytes):
+    # The products U a end, batched as by _joins: each batch of a's is
+    # raised one ordinate by one translate, then closed by U and end.
+    for lo in range(0, len(alphas), _BATCH):
+        chunk = alphas[lo : lo + _BATCH]
+        raised = _SEP.join(chunk).translate(_RAISE)
+        yield _SEP + _U + raised.replace(_SEP, end + _SEP + _U) + end, len(chunk)
+
+
+def _search(pi: str, highest: int) -> tuple | None:
+    # pi as bytes and, highest first, pi tagged at each start ordinate y
+    # where it fits between the axis and the highest ordinate, with the
+    # level y + mp of an occurrence there; None when there is no pattern.
     if not pi:
-        into.setdefault(0, []).extend(strings)
-        return strings
-    into.setdefault(0, []).extend([s for s in strings if pi not in s])
-    for s in strings:
-        if pi in s:
-            h = _pattern_height(s, profile(s), pi, mp)
-            into.setdefault(h, []).append(s)
-    return strings
+        return None
+    mp, mn = _prefix_extrema(pi)
+    codes = [4 * y + STEP_KINDS.index(ch) for y, ch in zip(profile(pi), pi)]
+    sweeps = [(y + mp, bytes(c + 4 * y for c in codes)) for y in range(highest - mp, -mn - 1, -1)]
+    return pi.encode(), sweeps
 
 
-def _tally(into: dict, heads: list, tails: list, pi: str, mp: int, end: str = "") -> list:
-    # Count the products a + b + end by level, keeping and returning none of
-    # them: the products free of pi are at level 0 and counted by
-    # subtraction, and only the ones that contain it are held, until their
-    # whole strings are scanned.
-    if end:
-        hits = [s for a in heads for b in tails if pi in (s := a + b + end)]
-    else:
-        hits = [s for a in heads for b in tails if pi in (s := a + b)]
-    into[0] = into.get(0, 0) + len(heads) * len(tails) - len(hits)
-    for s in hits:
-        h = _pattern_height(s, profile(s), pi, mp)
-        into[h] = into.get(h, 0) + 1
+def _mark(batch: bytes, count: int, search: tuple) -> bytearray:
+    # 1 + the level of each of the batch's count products, 0 where pi does
+    # not occur.  Every product has the same length, so the one holding
+    # position i is i // stride.  The tagged pi is swept from its highest
+    # start ordinate down, so a product's first hit gives its level.
+    word, sweeps = search
+    mark = bytearray(count)
+    if word not in batch.translate(_UNTAG):
+        return mark
+    stride = len(batch) // count
+    for level, tagged in sweeps:
+        i = batch.find(tagged)
+        while i >= 0:
+            k = i // stride
+            if not mark[k]:
+                mark[k] = level + 1
+            i = batch.find(tagged, (k + 1) * stride)
+    return mark
+
+
+def _file(into: dict, batches, search) -> list:
+    # Add the products of the batches to the level buckets and return them;
+    # with no pattern (search None) every level is 0.
+    kept = []
+    for batch, count in batches:
+        products = batch.split(_SEP)[1:]
+        kept += products
+        if search is None:
+            into.setdefault(0, []).extend(products)
+            continue
+        mark = _mark(batch, count, search)
+        values = set(mark)
+        for v in values:
+            picked = products
+            if len(values) > 1:  # the products marked v
+                picked = compress(products, mark.translate(bytes(v) + b"\x01" + bytes(255 - v)))
+            into.setdefault(max(v - 1, 0), []).extend(picked)
+    return kept
+
+
+def _tally(into: dict, batches, search) -> list:
+    # Count the products of the batches by level, keeping and returning none
+    # of them: no product outlives its batch.
+    for batch, count in batches:
+        mark = _mark(batch, count, search)
+        for v in set(mark):
+            level = max(v - 1, 0)
+            into[level] = into.get(level, 0) + mark.count(v)
     return []
 
 
 def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) -> list[dict]:
-    """The members of sizes 0..size, each size as a dict level -> strings.
+    """The members of sizes 0..size as tagged bytes, each size as a dict
+    level -> members.
 
     With ``keep_last`` false the last item maps each level to the number
     of members of that size instead, and no member of that size outlives
@@ -152,17 +246,17 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     """
     if size == 0 and not keep_last:
         return [{0: 1}]
-    mp = _prefix_extrema(pi)[0]
     unit = 1 if fam.semilength else 2
     has_f = "F" in fam.alphabet
     has_l = "L" in fam.alphabet
-    members = [{0: [""]}]  # size -> level -> strings
+    members = [{0: [b""]}]  # size -> level -> members
     arches: list[dict] = [{}]  # size -> level -> U a D members
     lefts: list[list] = [[]]  # size -> U a L members
     flats: list[list] = [[]]  # size -> F g members
     for n in range(1, size + 1):
         tally = n == size and not keep_last
         file = _tally if tally else _file
+        search = _search(pi, _highest(fam, n))
         out: dict = {}
         arch: dict = out if tally else {}  # arches of the last size head nothing
         left: list = []
@@ -170,23 +264,23 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
         if n >= unit:
             alphas = [a for bucket in members[n - unit].values() for a in bucket]
             budget.spend(len(alphas), n)
-            file(arch, ["U"], alphas, pi, mp, "D")
+            file(arch, _arches(alphas, _D), search)
             if has_l and n > unit:  # a is nonempty
                 budget.spend(len(alphas), n)
-                left = file(out, ["U"], alphas, pi, mp, "L")
+                left = file(out, _arches(alphas, _L), search)
         if has_f:
             gammas = members[n - 1].get(0, [])
             budget.spend(len(gammas), n)
-            flat = file(out, ["F"], gammas, pi, mp)
+            flat = file(out, _joins([_F], gammas), search)
         for i in range(unit, n):
             tails = members[n - i]
             for ha, heads in arches[i].items():
                 betas = [b for hb, bucket in tails.items() if hb <= ha for b in bucket]
                 budget.spend(len(heads) * len(betas), n)
-                file(out, heads, betas, pi, mp)
+                file(out, _joins(heads, betas), search)
             if lefts[i] and flats[n - i]:
                 budget.spend(len(lefts[i]) * len(flats[n - i]), n)
-                file(out, lefts[i], flats[n - i], pi, mp)
+                file(out, _joins(lefts[i], flats[n - i]), search)
         if not tally:
             for h, bucket in arch.items():
                 out.setdefault(h, []).extend(bucket)
@@ -211,7 +305,10 @@ def members_by_level(
     An empty pattern string imposes no condition (every path, at level 0).
     """
     pi = _steps_of(pattern) and _as_pattern(pattern).steps  # "" is no condition
-    return _oracle(family, pi, max_size, budget, keep_last=True)
+    members = _oracle(family, pi, max_size, budget, keep_last=True)
+    for n, levels in enumerate(members):  # each tagged size is freed once untagged
+        members[n] = {k: _untag(bucket) for k, bucket in levels.items()}
+    return members
 
 
 def _oracle(
@@ -219,6 +316,11 @@ def _oracle(
 ) -> list[dict]:
     if max_size < 0:
         raise ValueError(f"size must be >= 0, got {max_size}")
+    if _highest(family, max_size) > _TOP:
+        raise ValueError(
+            f"{family.name} paths of size {max_size} reach ordinates above {_TOP}, "
+            "the highest the oracle's byte tags hold"
+        )
     return _compose(family, pi, max_size, _Budget(family, effective_budget(budget)), keep_last)
 
 

@@ -418,3 +418,50 @@ class TestBadPatternStrings:
     def test_precompute_base(self):
         with pytest.raises(ValueError, match="unknown step kinds"):
             precompute_base(DYCK, ["X"], 4)
+
+
+class TestTagCapacity:
+    """The oracle keeps each step as a byte tagged with its ordinate, so it
+    refuses sizes whose paths reach above ordinate 61 before charging the
+    budget."""
+
+    def test_count_class(self):
+        with pytest.raises(ValueError, match="above 61"):
+            count_class(DYCK, "U", 62, budget=0)
+
+    def test_members_by_level(self):
+        with pytest.raises(ValueError, match="above 61"):
+            members_by_level(MOTZKIN, "F", 124, budget=0)
+        with pytest.raises(BudgetExceeded):  # Motzkin 123 reaches 61 at most
+            members_by_level(MOTZKIN, "F", 123, budget=0)
+
+    def test_generate_paths(self):
+        with pytest.raises(ValueError, match="above 61"):
+            generate_paths(SKEW_DYCK, 62, budget=0)
+
+
+class TestBatchBoundaries:
+    """Products are built and searched in batches joined by a separator;
+    the batch size changes neither counts nor members.  LUU never occurs in
+    a skew Dyck path, but an L-ending product joined to a UU-starting one
+    without the separator would hold it."""
+
+    @pytest.mark.parametrize(
+        "fam,pi,max_size",
+        [(DYCK, "U", 9), (MOTZKIN, "FF", 10), (DYCK, "DDU", 9), (SKEW_MOTZKIN, "UFD", 9),
+         (SKEW_DYCK, "LUU", 7)],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_batch_size_changes_nothing(self, monkeypatch, fam, pi, max_size):
+        from latpath import enumerate as brute
+
+        def run():
+            levels = members_by_level(fam, pi, max_size)
+            buckets = [{k: sorted(b) for k, b in of_size.items()} for of_size in levels]
+            return count_class(fam, pi, max_size).counts, buckets
+
+        expected = run()
+        assert max(len(b) for b in expected[1][-1].values()) > 64
+        for batch in (1, 3, 64):
+            monkeypatch.setattr(brute, "_BATCH", batch)
+            assert run() == expected, batch
