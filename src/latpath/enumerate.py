@@ -12,16 +12,22 @@ bytes, one byte per step naming the step and the ordinate it starts at, so
 joining two members is a concatenation and raising one under an arch is
 one ``translate``.  The products of each join are built by ``bytes.join``
 in batches of a few thousand, each product after a separator byte that no
-tag uses, and each product's level is read off its whole tagged string: a
-batch free of the untagged pattern is all at level 0, and otherwise the
-pattern tagged at each start ordinate is searched for from the highest
-down, so a product's first hit gives its level.  ``members_by_level``
-returns step strings; paths that can reach above ordinate 61 do not fit
-the tags, and sizes that allow them raise ValueError.  With no pattern
-every level is 0 and every condition holds, so the same composer generates
-every path of the family.  ``count_class`` needs only counts at its own
-size: it keeps the smaller sizes and counts its own batch by batch without
-keeping it.
+tag uses, and each product's level is read off its whole tagged string.
+Each group of products has a floor, a level its components already
+guarantee: an arch holds its inner member raised one ordinate, and a
+product holds its head verbatim.  The pattern tagged at each start
+ordinate is searched for from the highest level down to the floor, so a
+product's first hit gives its level and a product with no hit is at the
+floor; a batch with floor 0 that is free of the untagged pattern is all at
+level 0.  Every level above the floor is searched, with no upper bound
+taken from the components, so the oracle shares no abstraction with the
+grammar DP that it checks.  ``members_by_level`` returns step strings;
+paths that can reach above ordinate 61 do not fit the tags, and sizes that
+allow them raise ValueError.  With no pattern every level is 0 and every
+condition holds, so the same composer generates every path of the family.
+``count_class`` needs only counts at its own size: it keeps the smaller
+sizes and counts its own batch by batch without keeping it.  A pattern
+with a step the family lacks raises ValueError, as in ``latpath.gf``.
 
 Every call composes from scratch and keeps nothing afterwards; the path
 budget charges each path the call builds, smaller sizes included, so a
@@ -44,6 +50,7 @@ from .paths import (
     Path,
     Pattern,
     _as_pattern,
+    _check_alphabet,
     _first_return,
     _pattern_height,
     _prefix_extrema,
@@ -172,17 +179,21 @@ def _search(pi: str, highest: int) -> tuple | None:
     return pi.encode(), sweeps
 
 
-def _mark(batch: bytes, count: int, search: tuple) -> bytearray:
-    # 1 + the level of each of the batch's count products, 0 where pi does
-    # not occur.  Every product has the same length, so the one holding
-    # position i is i // stride.  The tagged pi is swept from its highest
-    # start ordinate down, so a product's first hit gives its level.
+def _mark(batch: bytes, count: int, search: tuple, floor: int) -> bytearray:
+    # 1 + the level of each of the batch's count products that holds pi
+    # above the floor, 0 for the others.  Every product has the same length,
+    # so the one holding position i is i // stride.  The tagged pi is swept
+    # from its highest start ordinate down to just above the floor, so a
+    # product's first hit gives its level.  Under a positive floor every
+    # product holds pi, so the untagged pre-check would find it in all.
     word, sweeps = search
     mark = bytearray(count)
-    if word not in batch.translate(_UNTAG):
+    if not floor and word not in batch.translate(_UNTAG):
         return mark
     stride = len(batch) // count
     for level, tagged in sweeps:
+        if level <= floor:
+            break
         i = batch.find(tagged)
         while i >= 0:
             k = i // stride
@@ -192,35 +203,36 @@ def _mark(batch: bytes, count: int, search: tuple) -> bytearray:
     return mark
 
 
-def _file(into: dict, batches, search) -> list:
-    # Add the products of the batches to the level buckets and return them;
-    # with no pattern (search None) every level is 0.
-    kept = []
+def _file(into: dict, batches, search, floor: int) -> None:
+    # Add the products of the batches to the level buckets; a product with
+    # no hit above the floor is at the floor.  With no pattern (search None)
+    # every level is 0.
     for batch, count in batches:
         products = batch.split(_SEP)[1:]
-        kept += products
         if search is None:
             into.setdefault(0, []).extend(products)
             continue
-        mark = _mark(batch, count, search)
+        mark = _mark(batch, count, search, floor)
         values = set(mark)
         for v in values:
             picked = products
             if len(values) > 1:  # the products marked v
                 picked = compress(products, mark.translate(bytes(v) + b"\x01" + bytes(255 - v)))
-            into.setdefault(max(v - 1, 0), []).extend(picked)
-    return kept
+            into.setdefault(max(v - 1, floor), []).extend(picked)
 
 
-def _tally(into: dict, batches, search) -> list:
-    # Count the products of the batches by level, keeping and returning none
-    # of them: no product outlives its batch.
+def _tally(into: dict, batches, search, floor: int) -> None:
+    # Count the products of the batches by level, keeping none of them: no
+    # product outlives its batch.
     for batch, count in batches:
-        mark = _mark(batch, count, search)
+        mark = _mark(batch, count, search, floor)
         for v in set(mark):
-            level = max(v - 1, 0)
+            level = max(v - 1, floor)
             into[level] = into.get(level, 0) + mark.count(v)
-    return []
+
+
+def _total(levels: dict) -> int:
+    return sum(map(len, levels.values()))
 
 
 def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) -> list[dict]:
@@ -232,13 +244,20 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     the batch it is built in; this needs a nonempty ``pi``.
 
     An empty ``pi`` imposes no condition: the result is every path of the
-    family, all at level 0.  Each size is built from the kept smaller ones:
+    family, all at level 0.  Each size is built from the kept smaller ones,
+    and each group of products is searched only above the level its
+    components guarantee (its floor):
 
-    - U a D: a any member; every such arch is a member, the one with b empty;
-    - U a D b, b nonempty: the arches at level >= h(b) times the member b;
-    - F g (flat-step families): g a member at level 0;
-    - U a L (left-step families): a any nonempty member;
-    - U a L F g (skew Motzkin): a U a L arch times a member F g.
+    - U a D: a any member; every such arch is a member, the one with b
+      empty.  A bucket of a's at level la > 0 gives the floor la + 1, the
+      level of a's raised occurrence; level 0 holds no occurrence or, for
+      an all-F pattern, one on the axis, so it gives no floor;
+    - U a D b, b nonempty: the arches at level ha >= h(b) times the member
+      b; the head holds its occurrence verbatim, so the floor is ha;
+    - F g (flat-step families): g a member at level 0; no floor;
+    - U a L (left-step families): a any nonempty member; floors as U a D;
+    - U a L F g (skew Motzkin): a U a L arch at level hl times a member F g
+      at level hf; the floor is max(hl, hf).
 
     The size of U..D and U..L is one for semilength families and two for
     step-count families.  The U/L overlap rule holds throughout, because
@@ -251,39 +270,42 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     has_l = "L" in fam.alphabet
     members = [{0: [b""]}]  # size -> level -> members
     arches: list[dict] = [{}]  # size -> level -> U a D members
-    lefts: list[list] = [[]]  # size -> U a L members
-    flats: list[list] = [[]]  # size -> F g members
+    lefts: list[dict] = [{}]  # size -> level -> U a L members
+    flats: list[dict] = [{}]  # size -> level -> F g members
     for n in range(1, size + 1):
         tally = n == size and not keep_last
         file = _tally if tally else _file
         search = _search(pi, _highest(fam, n))
         out: dict = {}
-        arch: dict = out if tally else {}  # arches of the last size head nothing
-        left: list = []
-        flat: list = []
+        # the heads of the last size head nothing: they go straight to out
+        arch, left, flat = (out, out, out) if tally else ({}, {}, {})
         if n >= unit:
-            alphas = [a for bucket in members[n - unit].values() for a in bucket]
-            budget.spend(len(alphas), n)
-            file(arch, _arches(alphas, _D), search)
+            alphas = members[n - unit]
+            budget.spend(_total(alphas), n)
+            for la, bucket in alphas.items():
+                file(arch, _arches(bucket, _D), search, la + 1 if la else 0)
             if has_l and n > unit:  # a is nonempty
-                budget.spend(len(alphas), n)
-                left = file(out, _arches(alphas, _L), search)
+                budget.spend(_total(alphas), n)
+                for la, bucket in alphas.items():
+                    file(left, _arches(bucket, _L), search, la + 1 if la else 0)
         if has_f:
             gammas = members[n - 1].get(0, [])
             budget.spend(len(gammas), n)
-            flat = file(out, _joins([_F], gammas), search)
+            file(flat, _joins([_F], gammas), search, 0)
         for i in range(unit, n):
             tails = members[n - i]
             for ha, heads in arches[i].items():
                 betas = [b for hb, bucket in tails.items() if hb <= ha for b in bucket]
                 budget.spend(len(heads) * len(betas), n)
-                file(out, _joins(heads, betas), search)
-            if lefts[i] and flats[n - i]:
-                budget.spend(len(lefts[i]) * len(flats[n - i]), n)
-                file(out, _joins(lefts[i], flats[n - i]), search)
+                file(out, _joins(heads, betas), search, ha)
+            budget.spend(_total(lefts[i]) * _total(flats[n - i]), n)
+            for hl, heads in lefts[i].items():
+                for hf, gs in flats[n - i].items():
+                    file(out, _joins(heads, gs), search, max(hl, hf))
         if not tally:
-            for h, bucket in arch.items():
-                out.setdefault(h, []).extend(bucket)
+            for part in (arch, left, flat):
+                for h, bucket in part.items():
+                    out.setdefault(h, []).extend(bucket)
         members.append(out)
         arches.append(arch)
         lefts.append(left)
@@ -314,6 +336,7 @@ def members_by_level(
 def _oracle(
     family: Family, pi: str, max_size: int, budget: int | None, keep_last: bool
 ) -> list[dict]:
+    _check_alphabet(family, pi)
     if max_size < 0:
         raise ValueError(f"size must be >= 0, got {max_size}")
     if _highest(family, max_size) > _TOP:
@@ -460,4 +483,5 @@ def _base_levels(family: Family, pi: str, order: int) -> tuple:
     # costs about 3 ms when bytecode is not cached.
     from .grammar import base_levels
 
+    _check_alphabet(family, pi)
     return base_levels(family, pi, order)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import enumerate as brute
-from .paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern
+from .paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern, _check_alphabet
 from .series import Series, div, exact_quotient, moebius, rational, sqrt
 
 
@@ -284,10 +284,7 @@ def system_for(
     amplitude that is the usual anchor; for all-flat patterns level 1 is
     counted as well.
     """
-    if not set(pattern.steps) <= family.alphabet:
-        raise ValueError(
-            f"pattern {pattern.steps!r} uses steps outside the {family.name} alphabet"
-        )
+    _check_alphabet(family, pattern.steps)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     r = max(pattern.amplitude, 1)

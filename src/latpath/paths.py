@@ -156,6 +156,13 @@ def _as_pattern(obj) -> Pattern:
     return obj if isinstance(obj, Pattern) else Pattern(_steps_of(obj))
 
 
+def _check_alphabet(family: Family, pi: str) -> None:
+    """Raise ValueError when the pattern steps pi use a step the family does
+    not have; the empty string passes."""
+    if not set(pi) <= family.alphabet:
+        raise ValueError(f"pattern {pi!r} uses steps outside the {family.name} alphabet")
+
+
 def height(path) -> int:
     """Maximal ordinate reached by the path; 0 for the empty path."""
     return max(profile(_steps_of(path)))

@@ -339,6 +339,36 @@ class TestCountClassBudget:
             count_class(fam, pi, max_size, budget=total - 1)
 
 
+class TestBudgetOutcomes:
+    """Whether ``count_class`` raises, and the size its message names, at
+    the budgets 0, 7, 14, ... and at every path built.  ``built`` holds the
+    paths built through each size 1..max_size, pinned from the oracle that
+    searched every product at every level: the size named is the first
+    whose paths, with all smaller sizes', exceed the budget.  Only the
+    ``need N`` figure may depend on the order of the charges in a size."""
+
+    @pytest.mark.parametrize(
+        "fam,pi,built",
+        [
+            (DYCK, "UDU", [1, 3, 7, 16, 38, 94, 240, 629]),
+            (MOTZKIN, "FFD", [1, 3, 7, 16, 36, 83, 195, 469]),
+            (SKEW_DYCK, "DDL", [1, 4, 14, 49, 177, 662]),
+            (SKEW_MOTZKIN, "UFL", [1, 3, 8, 20, 52, 138, 377, 1054]),
+        ],
+        ids=lambda v: getattr(v, "name", v if isinstance(v, str) else None),
+    )
+    def test_raises_and_names_the_size(self, fam, pi, built):
+        max_size = len(built)
+        for budget in [*range(0, built[-1], 7), built[-1]]:
+            expected = next((n for n, b in enumerate(built, 1) if b > budget), None)
+            try:
+                count_class(fam, pi, max_size, budget=budget)
+                named = None
+            except BudgetExceeded as exc:
+                named = int(re.search(r"up to size (\d+) need", str(exc)).group(1))
+            assert named == expected, budget
+
+
 class TestCountClassMemory:
     @pytest.mark.parametrize(
         "fam,pi,max_size",
@@ -420,6 +450,38 @@ class TestBadPatternStrings:
             precompute_base(DYCK, ["X"], 4)
 
 
+class TestPatternOutsideAlphabet:
+    """A pattern with a step the family lacks is refused with class_gf's
+    message, before any path is composed (a zero budget would raise
+    BudgetExceeded first); the empty string stays "no condition"."""
+
+    def test_count_class(self):
+        with pytest.raises(ValueError, match="pattern 'F' uses steps outside the dyck alphabet"):
+            count_class(DYCK, "F", 4, budget=0)
+
+    def test_members_by_level(self):
+        with pytest.raises(ValueError, match="pattern 'UL' uses steps outside the motzkin alphabet"):
+            members_by_level(MOTZKIN, "UL", 3, budget=0)
+
+    def test_member_paths(self):
+        with pytest.raises(ValueError, match="pattern 'L' uses steps outside the motzkin alphabet"):
+            member_paths(MOTZKIN, Pattern("L"), 3, budget=0)
+
+    def test_base_series(self):
+        with pytest.raises(ValueError, match="pattern 'FU' uses steps outside the skew-dyck alphabet"):
+            base_series(SKEW_DYCK, "FU", 0, 5)
+
+    def test_precompute_base(self):
+        with pytest.raises(ValueError, match="pattern 'F' uses steps outside the dyck alphabet"):
+            precompute_base(DYCK, ["U", "F"], 5)
+
+    def test_class_gf_gives_the_same_message(self):
+        from latpath.gf import class_gf
+
+        with pytest.raises(ValueError, match="pattern 'F' uses steps outside the dyck alphabet"):
+            class_gf(DYCK, "F", 5)
+
+
 class TestTagCapacity:
     """The oracle keeps each step as a byte tagged with its ordinate, so it
     refuses sizes whose paths reach above ordinate 61 before charging the
@@ -449,7 +511,7 @@ class TestBatchBoundaries:
     @pytest.mark.parametrize(
         "fam,pi,max_size",
         [(DYCK, "U", 9), (MOTZKIN, "FF", 10), (DYCK, "DDU", 9), (SKEW_MOTZKIN, "UFD", 9),
-         (SKEW_DYCK, "LUU", 7)],
+         (SKEW_DYCK, "LUU", 7), (SKEW_MOTZKIN, "UFL", 9), (SKEW_MOTZKIN, "LFD", 9)],
         ids=lambda v: getattr(v, "name", v),
     )
     def test_batch_size_changes_nothing(self, monkeypatch, fam, pi, max_size):

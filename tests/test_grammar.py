@@ -124,4 +124,6 @@ def path_counts(order, step):
     ],
 )
 def test_all_paths_at_order_100(family, pi, step):
-    assert base_series(family, Pattern(pi), 0, 100).int_coeffs() == path_counts(100, step)
+    # The DP itself, since the public entry points refuse F under Dyck and
+    # L under Motzkin as steps outside the family's alphabet.
+    assert list(base_levels(family, pi, 100)[0]) == path_counts(100, step)
