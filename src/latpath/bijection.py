@@ -17,7 +17,6 @@ domain.  Higher levels are compared through series equality only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .enumerate import _is_member
 from .gf import class_gf
@@ -62,7 +61,6 @@ def _axis_cuts(s: str) -> list[int]:
     return [i for i, y in enumerate(prof) if y == low]
 
 
-@lru_cache(maxsize=1024)
 def _holds_component(pi: str) -> bool:
     """True iff some factor pi[i:j] with 0 < i < j < len(pi) is an axis
     component at pi's lowest ordinate, so that an occurrence touching the

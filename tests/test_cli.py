@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latpath import bijection, enumerate as brute
+from latpath import bijection, cli, enumerate as brute, gf
 from latpath.cli import (
     EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VERIFY_FAILED, _verification_checks, main,
 )
@@ -154,6 +154,29 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in out
 
+    def test_corrupted_base_fails_only_oracle_agreement(self, capsys):
+        # residuals and the step law hold for any bases; only the oracle
+        # sees the raised coefficient
+        code, out, _ = run(capsys, "verify", "--level", "full", "--corrupt-base")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.splitlines() == [
+            "FAIL  oracle agreement dyck (len<=3, order 8)",
+            "ok    quadratic residuals dyck",
+            "ok    moebius step law dyck",
+            "FAIL  oracle agreement motzkin (len<=2, order 9)",
+            "ok    quadratic residuals motzkin",
+            "ok    moebius step law motzkin",
+            "FAIL  oracle agreement skew-dyck (len<=2, order 7)",
+            "ok    quadratic residuals skew-dyck",
+            "ok    moebius step law skew-dyck",
+            "FAIL  oracle agreement skew-motzkin (len<=1, order 9)",
+            "ok    quadratic residuals skew-motzkin",
+            "ok    moebius step law skew-motzkin",
+            "ok    reversed-complement series equality",
+            "ok    explicit map injective, size- and level-preserving",
+            "4 check(s) failed",
+        ]
+
     def test_full_level_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "full")
         assert code == EXIT_OK
@@ -191,6 +214,24 @@ class TestVerify:
         assert checks["explicit map injective, size- and level-preserving"]()
         assert len(composed) == 26
         assert len(set(composed)) == 26
+
+    def test_each_class_solved_once(self, monkeypatch):
+        # 14 Dyck (length <= 3), 12 Motzkin (length <= 2), 12 skew Dyck
+        # (length <= 2) and 4 skew Motzkin (length 1) classes, each solved
+        # once however many checks read it
+        real = gf.system_for
+        built = []
+
+        def counting(fam, pattern, order, bases=None):
+            built.append((fam.name, pattern.steps))
+            return real(fam, pattern, order, bases)
+
+        for module in (cli, gf):
+            monkeypatch.setattr(module, "system_for", counting)
+        for _, check in _verification_checks("full", False):
+            assert check()
+        assert len(built) == 42
+        assert len(set(built)) == 42
 
 
 class TestVerifyCatchesBrokenMap:

@@ -58,8 +58,8 @@ class TestGeneratePaths:
             generate_paths(DYCK, 8, budget=100)
 
     def test_budget_charges_cached_paths(self):
-        # a cold walk and a replay of the path-list cache spend alike, so a
-        # budget outcome does not depend on what the process computed before
+        # a call after a successful default-budget call exhausts the same
+        # small budget again: the outcome does not depend on earlier calls
         from latpath import enumerate as brute
 
         for call in (
@@ -69,7 +69,7 @@ class TestGeneratePaths:
             brute.clear_caches()
             with pytest.raises(BudgetExceeded):
                 call(100)
-            call(None)  # fills the cache under the default budget
+            call(None)  # succeeds under the default budget
             with pytest.raises(BudgetExceeded):
                 call(100)
 
