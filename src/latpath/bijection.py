@@ -27,6 +27,7 @@ from .paths import (
     Path,
     Pattern,
     _COMPLEMENT,
+    _as_pattern,
     _first_return,
     _pattern_height,
     _prefix_extrema,
@@ -47,7 +48,8 @@ class PatternPair:
     sigma: Pattern
 
     @classmethod
-    def of(cls, pi: Pattern) -> "PatternPair":
+    def of(cls, pi: Pattern | str) -> "PatternPair":
+        pi = _as_pattern(pi)
         sigma = reversed_complement(pi)
         assert sigma.amplitude == pi.amplitude
         return cls(pi, sigma)
@@ -98,7 +100,7 @@ def _phi(s: str, prof, pi: str, mp: int, lo: int) -> str:
     return (s[cuts[1] :] + head + s[j : cuts[1]])[::-1].translate(_COMPLEMENT)
 
 
-def phi(path: Path, pattern: Pattern) -> Path:
+def phi(path: Path, pattern: Pattern | str) -> Path:
     """Map a member at level 0 or amplitude to the sibling class.
 
     The image is a member of the reversed complement's class with the same
@@ -112,9 +114,9 @@ def phi(path: Path, pattern: Pattern) -> Path:
     """
     if path.family not in (DYCK, MOTZKIN):
         raise DomainError(f"map not defined on family {path.family.name}")
-    if "L" in pattern.steps:
+    pi = _as_pattern(pattern).steps
+    if "L" in pi:
         raise DomainError("map not defined for patterns containing L")
-    pi = pattern.steps
     if _holds_component(pi) and set(pi) != {"F"}:
         raise DomainError(f"map not defined for {pi}: an occurrence can contain a whole axis component")
     mp, mn = _prefix_extrema(pi)
@@ -129,9 +131,10 @@ def phi(path: Path, pattern: Pattern) -> Path:
     return Path(_phi(s, prof, pi, mp, 0), path.family)
 
 
-def verify_reversed_complement_symmetry(family: Family, pattern: Pattern, order: int) -> bool:
+def verify_reversed_complement_symmetry(family: Family, pattern: Pattern | str, order: int) -> bool:
     """Series equality between the classes of a pattern and its reversed
     complement, coefficientwise to the given order."""
+    pattern = _as_pattern(pattern)
     if "L" in pattern.steps:
         raise ValueError("reversed complement is defined for L-free patterns only")
     sigma = reversed_complement(pattern)

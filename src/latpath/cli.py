@@ -13,13 +13,9 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import replace
 
 from . import bijection, enumerate as brute, oeis_client
-from .gf import (
-    ConsistencyFailure, class_gf, default_order, iterate_system, moebius_coeffs, moebius_step,
-    residual, solve_quadratic, system_for,
-)
+from .gf import ConsistencyFailure, class_gf, default_order, moebius_step, residual, system_for
 from .paths import (
     FAMILIES, Family, Pattern, _check_alphabet, _prefix_extrema, family as family_by_name,
     reversed_complement,
@@ -85,28 +81,30 @@ def pattern_key(pi: str):
 # -- table ----------------------------------------------------------------
 
 
-def build_table(fam: Family, max_len: int, n: int) -> list[dict]:
-    """One row per group of patterns sharing a coefficient sequence."""
-    pats = sorted(all_patterns(fam, max_len), key=pattern_key)
+def build_table(fam: Family, max_len: int, n: int) -> tuple[list[dict], list]:
+    """One row per group of patterns sharing a coefficient sequence, and
+    the solved classes."""
+    classes = [class_gf(fam, pi, n) for pi in sorted(all_patterns(fam, max_len), key=pattern_key)]
     groups: dict = {}
-    for pi in pats:
-        gf = class_gf(fam, Pattern(pi), n)
-        values = tuple(gf.A.int_coeffs()[1 : n + 1])
-        groups.setdefault(values, []).append(pi)
+    for gf in classes:
+        groups.setdefault(tuple(gf.A.int_coeffs()[1 : n + 1]), []).append(gf.pattern.steps)
     rows = [
         {"patterns": sorted(ps, key=pattern_key), "values": list(vals)}
         for vals, ps in groups.items()
     ]
     rows.sort(key=lambda row: pattern_key(row["patterns"][0]))
-    return rows
+    return rows, classes
 
 
-def verify_table_cells(fam: Family, rows: list[dict], n: int, budget=None) -> bool:
-    cap = min(n, ORACLE_CAP[fam.name])
-    for row in rows:
-        for pi in row["patterns"]:
-            table = brute.count_class(fam, Pattern(pi), cap, budget=budget)
-            if table.totals() != row["values"][:cap]:
+def verify_table_cells(classes, cap: int, budget=None) -> bool:
+    """Whether the totals and every level of each solved class equal the
+    exhaustive oracle's up to size cap."""
+    for gf in classes:
+        table = brute.count_class(gf.family, gf.pattern, cap, budget=budget)
+        if gf.A.int_coeffs()[1 : cap + 1] != table.totals():
+            return False
+        for k in range(len(gf.per_level)):
+            if gf.level(k).int_coeffs()[: cap + 1] != table.level(k)[: cap + 1]:
                 return False
     return True
 
@@ -141,9 +139,9 @@ def cmd_table(args) -> int:
     if max_len is None:
         max_len = DEFAULT_PATTERN_LEN[fam.name]
     budget = path_budget(args.budget)
-    rows = build_table(fam, max_len, n)
+    rows, classes = build_table(fam, max_len, n)
     if args.verify_level != "none":
-        if not verify_table_cells(fam, rows, n, budget=budget):
+        if not verify_table_cells(classes, min(n, ORACLE_CAP[fam.name]), budget=budget):
             print("table cells disagree with the exhaustive oracle", file=sys.stderr)
             return EXIT_INCONSISTENT
     sys.stdout.write(render_table(rows, fam, n, args.format))
@@ -202,9 +200,8 @@ def cmd_series(args) -> int:
 def _verification_checks(level: str, corrupt_base: bool):
     """Yield (name, thunk) pairs; each thunk returns True on success.
 
-    Each plan's classes are solved once, when its first check runs (level
-    system, Moebius coefficients, level iteration, quadratic root); every
-    check reads that result."""
+    Each plan's classes are solved once by ``class_gf``, when its first
+    check runs; every check reads that result."""
     plans = [
         (FAMILIES["dyck"], 2, 7),
         (FAMILIES["motzkin"], 1, 8),
@@ -220,69 +217,47 @@ def _verification_checks(level: str, corrupt_base: bool):
         ]
 
     def solve(fam, pi, order):
-        pattern = Pattern(pi)
-        spec = system_for(fam, pattern, order)
+        bases = None
         if corrupt_base:
-            top = list(spec.u.coeffs)
+            *bases, top = system_for(fam, pi, order).bases
+            top = list(top.coeffs)
             top[min(4, order)] += 1
-            spec = replace(spec, bases=spec.bases[:-1] + (Series(top),))
-        coeffs = moebius_coeffs(spec.p, spec.q, spec.u, spec.v)
-        return spec.r, coeffs, iterate_system(spec, order), solve_quadratic(coeffs, order)
-
-    def oracle_agreement(fam, order, solved):
-        def run():
-            cap = min(order, ORACLE_CAP[fam.name])
-            for pi, (_, _, gf, root) in solved().items():
-                if root != gf.A:
-                    return False
-                table = brute.count_class(fam, Pattern(pi), cap)
-                if gf.A.int_coeffs()[1 : cap + 1] != table.totals():
-                    return False
-                for k in range(len(gf.per_level)):
-                    if gf.level(k).int_coeffs()[: cap + 1] != table.level(k)[: cap + 1]:
-                        return False
-            return True
-
-        return run
-
-    def residuals(solved):
-        def run():
-            return all(
-                residual(coeffs, gf.A).is_zero() and residual(coeffs, root).is_zero()
-                for _, coeffs, gf, root in solved().values()
-            )
-
-        return run
-
-    def moebius_law(solved):
-        def run():
-            return all(
-                moebius_step(coeffs, gf.partial_sum(k - 1)) == gf.partial_sum(k)
-                for r, coeffs, gf, _ in solved().values()
-                for k in range(r + 1, r + 4)
-            )
-
-        return run
+            bases.append(Series(top))
+        return class_gf(fam, pi, order, bases=bases)
 
     solutions = {}
-    for fam, max_len, order in plans:
-        pats = all_patterns(fam, max_len)
+
+    def plan_checks(fam, max_len, order):
         solved = solutions[fam.name] = functools.cache(
-            lambda fam=fam, pats=pats, order=order: {pi: solve(fam, pi, order) for pi in pats}
+            lambda: [solve(fam, pi, order) for pi in all_patterns(fam, max_len)]
         )
-        yield f"oracle agreement {fam.name} (len<={max_len}, order {order})", oracle_agreement(fam, order, solved)
-        yield f"quadratic residuals {fam.name}", residuals(solved)
-        yield f"moebius step law {fam.name}", moebius_law(solved)
+        yield (
+            f"oracle agreement {fam.name} (len<={max_len}, order {order})",
+            lambda: verify_table_cells(solved(), min(order, ORACLE_CAP[fam.name])),
+        )
+        yield (
+            f"quadratic residuals {fam.name}",
+            lambda: all(residual(gf.coeffs, gf.A).is_zero() for gf in solved()),
+        )
+        yield (
+            f"moebius step law {fam.name}",
+            lambda: all(
+                moebius_step(gf.coeffs, gf.partial_sum(k - 1)) == gf.partial_sum(k)
+                for gf in solved()
+                for r in [max(gf.pattern.amplitude, 1)]  # the anchor level
+                for k in range(r + 1, r + 4)
+            ),
+        )
+
+    for plan in plans:
+        yield from plan_checks(*plan)
 
     if level == "full":
 
         def symmetry():
             # on the Dyck and Motzkin plans, whose pattern lists are closed
             # under reversed complement
-            totals = [
-                {pi: gf.A for pi, (_, _, gf, _) in solutions[name]().items()}
-                for name in ("dyck", "motzkin")
-            ]
+            totals = [{gf.pattern.steps: gf.A for gf in solutions[name]()} for name in ("dyck", "motzkin")]
             return all(A[pi] == A[reversed_complement(pi)] for A in totals for pi in A)
 
         def phi_preserving():
@@ -317,7 +292,10 @@ def cmd_verify(args) -> int:
     path_budget(None)  # a malformed LATPATH_BUDGET is bad input, not a failed check
     failures = 0
     for name, thunk in _verification_checks(args.level, args.corrupt_base):
-        ok = thunk()
+        try:
+            ok = thunk()
+        except ConsistencyFailure:
+            ok = False
         print(("ok  " if ok else "FAIL") + f"  {name}")
         if not ok:
             failures += 1

@@ -84,13 +84,6 @@ def effective_budget(budget: int | None = None) -> int:
     return budget
 
 
-def clear_caches() -> None:
-    """Empty the grammar DP's cache of anchor levels; the oracle keeps none."""
-    from .grammar import base_levels
-
-    base_levels.cache_clear()
-
-
 class _Budget:
     __slots__ = ("family", "limit", "built")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import enumerate as brute
-from .paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern, _check_alphabet
+from .paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern, _as_pattern, _check_alphabet
 from .series import Series, div, exact_quotient, moebius, rational, sqrt
 
 
@@ -80,7 +80,8 @@ class MoebiusCoeffs:
 
 @dataclass(frozen=True)
 class ClassGF:
-    """Total and per-level generating functions of one class instance."""
+    """Total and per-level generating functions of one class instance, and
+    the Moebius coefficients whose quadratic ``class_gf`` checked A against."""
 
     family: Family | None
     pattern: Pattern | None
@@ -88,6 +89,7 @@ class ClassGF:
     v: Series
     A: Series
     per_level: tuple
+    coeffs: MoebiusCoeffs | None = None
 
     def level(self, k: int) -> Series:
         if k < len(self.per_level):
@@ -267,7 +269,7 @@ def default_order(family: Family) -> int:
 
 def system_for(
     family: Family,
-    pattern: Pattern,
+    pattern: Pattern | str,
     order: int,
     bases: tuple | None = None,
 ) -> SystemSpec:
@@ -284,6 +286,7 @@ def system_for(
     amplitude that is the usual anchor; for all-flat patterns level 1 is
     counted as well.
     """
+    pattern = _as_pattern(pattern)
     _check_alphabet(family, pattern.steps)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -311,7 +314,7 @@ def system_for(
 
 def class_gf(
     family: Family,
-    pattern: Pattern,
+    pattern: Pattern | str,
     order: int,
     bases: tuple | None = None,
     check: bool = True,
@@ -320,17 +323,16 @@ def class_gf(
 
     Runs the level iteration and, when ``check`` is set, confirms the
     result against the quadratic route, raising ConsistencyFailure on any
-    coefficient mismatch.
+    coefficient mismatch, and keeps the quadratic's coefficients.
     """
-    if isinstance(pattern, str):
-        pattern = Pattern(pattern)
+    pattern = _as_pattern(pattern)
     spec = system_for(family, pattern, order, bases=bases)
     result = iterate_system(spec, order)
+    coeffs = None
     if check:
         coeffs = moebius_coeffs(spec.p, spec.q, spec.u, spec.v)
-        quad = solve_quadratic(coeffs, order)
-        if quad != result.A:
+        if solve_quadratic(coeffs, order) != result.A:
             raise ConsistencyFailure(
                 f"iteration and quadratic disagree for {family.name}/{pattern.steps}"
             )
-    return ClassGF(family, pattern, spec.u, spec.v, result.A, result.per_level)
+    return ClassGF(family, pattern, spec.u, spec.v, result.A, result.per_level, coeffs)

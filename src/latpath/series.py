@@ -114,6 +114,8 @@ class Series:
         return None
 
     def truncate(self, m: int) -> "Series":
+        if m < 0:
+            raise ValueError(f"order must be >= 0, got {m}")
         if m > self.order:
             raise ValueError(f"cannot extend order {self.order} to {m}")
         return Series(self.coeffs[: m + 1])

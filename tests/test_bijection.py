@@ -4,7 +4,8 @@ import pytest
 
 from latpath.bijection import DomainError, PatternPair, phi, verify_reversed_complement_symmetry
 from latpath.cli import all_patterns
-from latpath.enumerate import generate_paths, member_paths
+from latpath.enumerate import count_class, generate_paths, member_paths
+from latpath.gf import class_gf, system_for
 from latpath.paths import (
     DYCK,
     MOTZKIN,
@@ -154,3 +155,19 @@ class TestReversedComplementSymmetry:
     def test_rejects_left_patterns(self):
         with pytest.raises(ValueError):
             verify_reversed_complement_symmetry(SKEW_DYCK, Pattern("L"), 6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pi: system_for(DYCK, pi, 6),
+        lambda pi: class_gf(DYCK, pi, 6),
+        lambda pi: count_class(DYCK, pi, 6),
+        lambda pi: phi(Path("UUDDUD", DYCK), pi),
+        lambda pi: verify_reversed_complement_symmetry(DYCK, pi, 6),
+        lambda pi: PatternPair.of(pi),
+    ],
+    ids=["system_for", "class_gf", "count_class", "phi", "symmetry", "PatternPair.of"],
+)
+def test_step_string_acts_as_its_pattern(call):
+    assert call("UUD") == call(Pattern("UUD"))

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
 from latpath import bijection, cli, enumerate as brute, gf
 from latpath.cli import (
-    EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, EXIT_VERIFY_FAILED, _verification_checks, main,
+    EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_VERIFY_FAILED,
+    _verification_checks, main,
 )
 from latpath.paths import pattern_height, reversed_complement
+from latpath.series import Series
 
 
 def run(capsys, *argv):
@@ -75,8 +78,25 @@ class TestTable:
         assert "1, 2, 4, 9, 22, 56, 146, 389, 1053" in out   # DUD, UDU row
         assert "1, 2, 5, 13, 34, 89, 234, 621, 1669" in out  # DDU, DUU row
 
+    def test_cross_verification_compares_levels(self, capsys, monkeypatch):
+        # swapping levels 0 and 1 keeps every total, so only the level
+        # comparison sees it
+        real = cli.class_gf
+
+        def swapped(*args, **kwargs):
+            g = real(*args, **kwargs)
+            a0, a1, *rest = g.per_level
+            return dataclasses.replace(g, per_level=(a1, a0, *rest))
+
+        monkeypatch.setattr(cli, "class_gf", swapped)
+        code, _, err = run(
+            capsys, "table", "--family", "dyck", "--n", "5",
+            "--max-pattern-len", "1", "--verify-level", "cross",
+        )
+        assert code == EXIT_INCONSISTENT
+        assert "disagree with the exhaustive oracle" in err
+
     def test_budget_exhaustion_exit_code(self, capsys):
-        brute.clear_caches()
         code, _, err = run(
             capsys, "table", "--family", "skew-dyck", "--n", "8", "--budget", "50",
             "--verify-level", "cross",
@@ -176,6 +196,25 @@ class TestVerify:
             "ok    explicit map injective, size- and level-preserving",
             "4 check(s) failed",
         ]
+
+    def test_disagreeing_routes_fail_their_checks(self, capsys, monkeypatch):
+        # a quadratic root off in one coefficient makes class_gf raise
+        # ConsistencyFailure inside every check, which reports it as FAIL
+        real = gf.solve_quadratic
+
+        def off_by_one(coeffs, order):
+            root = list(real(coeffs, order).coeffs)
+            root[1] += 1
+            return Series(root)
+
+        monkeypatch.setattr(gf, "solve_quadratic", off_by_one)
+        code, out, err = run(capsys, "verify", "--level", "cross")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert len(lines) == 13
+        assert all(line.startswith("FAIL  ") for line in lines[:-1])
+        assert lines[-1] == "12 check(s) failed"
+        assert err == ""
 
     def test_full_level_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "full")

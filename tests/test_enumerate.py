@@ -51,22 +51,16 @@ class TestGeneratePaths:
         assert len(set(paths)) == len(paths) == 36
 
     def test_budget(self):
-        from latpath import enumerate as brute
-
-        brute.clear_caches()
         with pytest.raises(BudgetExceeded):
             generate_paths(DYCK, 8, budget=100)
 
     def test_budget_charges_cached_paths(self):
         # a call after a successful default-budget call exhausts the same
         # small budget again: the outcome does not depend on earlier calls
-        from latpath import enumerate as brute
-
         for call in (
             lambda budget: count_class(DYCK, Pattern("U"), 8, budget=budget),
             lambda budget: generate_paths(DYCK, 8, budget=budget),
         ):
-            brute.clear_caches()
             with pytest.raises(BudgetExceeded):
                 call(100)
             call(None)  # succeeds under the default budget
@@ -184,11 +178,11 @@ class TestBaseSeries:
     def test_bases_walk_no_path(self, monkeypatch):
         # the bases spend no path budget, so a cold call succeeds under a
         # budget far below the paths of the sizes and equals a warm one
-        from latpath import enumerate as brute
+        from latpath import grammar
         from latpath.gf import class_gf
 
         monkeypatch.setenv("LATPATH_BUDGET", "1000")
-        brute.clear_caches()
+        grammar.base_levels.cache_clear()
         cold = class_gf(DYCK, Pattern("UUD"), 10)
         warm = class_gf(DYCK, Pattern("UUD"), 10)
         assert cold.A == warm.A and cold.per_level == warm.per_level
@@ -233,9 +227,6 @@ class TestNoOracleState:
             assert held == [], module.__name__
 
     def test_cold_and_warm_calls_agree(self):
-        from latpath import enumerate as brute
-
-        brute.clear_caches()
         cold = count_class(MOTZKIN, Pattern("UFD"), 9)
         for pi in ("F", "UD", "DFU", "FF"):
             count_class(MOTZKIN, Pattern(pi), 10)

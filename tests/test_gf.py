@@ -55,6 +55,12 @@ class TestIterateSystem:
         with pytest.raises(ValueError):
             SystemSpec(Series.one(5), Series.zero(5), 0, (Series.one(5),))
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            iterate_system(arch_prototype(4), -1)
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            Series.x(4).truncate(-1)
+
     def test_accepts_p_truncated_to_zero(self):
         # x at order 0 is the zero series: p(0) = 0 is all the iteration needs
         spec = SystemSpec(Series.x(0), Series.zero(0), 0, (Series.one(0),))
