@@ -244,8 +244,7 @@ def _verification_checks(level: str, corrupt_base: bool):
             lambda: all(
                 moebius_step(gf.coeffs, gf.partial_sum(k - 1)) == gf.partial_sum(k)
                 for gf in solved()
-                for r in [max(gf.pattern.amplitude, 1)]  # the anchor level
-                for k in range(r + 1, r + 4)
+                for k in range(gf.r + 1, gf.r + 4)
             ),
         )
 

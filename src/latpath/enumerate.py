@@ -10,24 +10,27 @@ is never built.  Each size's members are kept bucketed by pattern height,
 so a height condition selects whole buckets.  A member is kept as tagged
 bytes, one byte per step naming the step and the ordinate it starts at, so
 joining two members is a concatenation and raising one under an arch is
-one ``translate``.  The products of each join are built by ``bytes.join``
-in batches of a few thousand, each product after a separator byte that no
-tag uses, and each product's level is read off its whole tagged string.
-Each group of products has a floor, a level its components already
-guarantee: an arch holds its inner member raised one ordinate, and a
-product holds its head verbatim.  The pattern tagged at each start
-ordinate is searched for from the highest level down to the floor, so a
-product's first hit gives its level and a product with no hit is at the
-floor; a batch with floor 0 that is free of the untagged pattern is all at
-level 0.  Every level above the floor is searched, with no upper bound
-taken from the components, so the oracle shares no abstraction with the
-grammar DP that it checks.  ``members_by_level`` returns step strings;
-paths that can reach above ordinate 61 do not fit the tags, and sizes that
-allow them raise ValueError.  With no pattern every level is 0 and every
-condition holds, so the same composer generates every path of the family.
-``count_class`` needs only counts at its own size: it keeps the smaller
-sizes and counts its own batch by batch without keeping it.  A pattern
-with a step the family lacks raises ValueError, as in ``latpath.gf``.
+one ``translate``.  A bucket is one byte string, its members back to back,
+each after a separator byte that no tag uses; the members of a size have
+one length, so a bucket's count is its length over that width.  Products
+are built from whole bucket slices in batches of a few thousand, by one
+``replace`` per member of the smaller side, and each product's level is
+read off its whole tagged string.  Each group of products has a floor, a
+level its components already guarantee: an arch holds its inner member
+raised one ordinate, and a product holds its head verbatim.  The pattern
+tagged at each start ordinate is searched for from the highest level down
+to the floor, so a product's first hit gives its level and a product with
+no hit is at the floor; a batch with floor 0 that is free of the untagged
+pattern is all at level 0.  Every level above the floor is searched, with
+no upper bound taken from the components, so the oracle shares no
+abstraction with the grammar DP that it checks.  ``members_by_level``
+returns step strings; paths that can reach above ordinate 61 do not fit
+the tags, and sizes that allow them raise ValueError.  With no pattern
+every level is 0 and every condition holds, so the same composer generates
+every path of the family.  ``count_class`` needs only counts at its own
+size: it keeps the smaller sizes and counts its own batch by batch without
+keeping it.  A pattern with a step the family lacks raises ValueError, as
+in ``latpath.gf``.
 
 Every call composes from scratch and keeps nothing afterwards; the path
 budget charges each path the call builds, smaller sizes included, so a
@@ -49,6 +52,7 @@ from .paths import (
     Family,
     Path,
     Pattern,
+    _anchor,
     _as_pattern,
     _check_alphabet,
     _first_return,
@@ -107,9 +111,9 @@ class _Budget:
 # A member is kept as tagged bytes: the step that starts at ordinate y is
 # the byte 4*y + code (U, D, F, L = 0..3).  Every member starts and ends on
 # the axis, so a + b is tagged by concatenation and U a D by raising a's
-# tags one ordinate.  Tags stay below the separator 0xFF between the
-# products of a batch, so no match of a tagged or untagged pattern crosses
-# two products.
+# tags one ordinate.  Tags stay below the separator 0xFF before each
+# member of a bucket and each product of a batch, so no match of a tagged
+# or untagged pattern crosses two products.
 _TOP = 61  # highest ordinate held: tags stay at or below 4 * 61 + 3 = 247
 _SEP = b"\xff"
 _RAISE = bytes.maketrans(bytes(range(4 * _TOP)), bytes(range(4, 4 * _TOP + 4)))
@@ -123,41 +127,39 @@ def _highest(fam: Family, size: int) -> int:
     return size if fam.semilength else size // 2
 
 
-def _untag(bucket: list) -> list[str]:
-    return _SEP.join(bucket).translate(_UNTAG).decode().split("|")
+def _untag(bucket: bytes) -> list[str]:
+    return bucket.translate(_UNTAG).decode().split("|")[1:]
 
 
-def _joins(heads: list, tails: list):
-    # The products a + b, each after a separator, joined in C in batches of
-    # about _BATCH products, with the number each batch holds.  The longer
-    # list is the inner one, joined with each item of the other.
-    if len(heads) <= len(tails):
-        inner, outer = tails, heads
-
-        def glue(a, chunk):
-            return _SEP + a + (_SEP + a).join(chunk)
-
-    else:
-        inner, outer = heads, tails
-
-        def glue(b, chunk):
-            return _SEP + (b + _SEP).join(chunk) + b
-
-    for lo in range(0, len(inner), _BATCH):
-        chunk = inner[lo : lo + _BATCH]
-        step = max(1, _BATCH // len(chunk))
+def _joins(heads: bytes, wh: int, tails: bytes, wt: int):
+    # The products a + b of two buckets of widths wh and wt, each after a
+    # separator, in batches of about _BATCH products, with the number each
+    # batch holds.  A slice of the side with more members is glued to each
+    # member of the other side by one replace.
+    if len(heads) // wh <= len(tails) // wt:
+        inner, wi, skip, outer = tails, wt, 0, heads
+    else:  # the slice of heads drops its first separator: a1|a2.. gives |a1 b|a2 b..
+        inner, wi, skip, outer = heads, wh, 1, tails
+    outer = outer.split(_SEP)[1:]
+    for lo in range(0, len(inner), _BATCH * wi):
+        chunk = inner[lo + skip : lo + _BATCH * wi]
+        size = (len(chunk) + skip) // wi
+        step = max(1, _BATCH // size)
         for at in range(0, len(outer), step):
             run = outer[at : at + step]
-            yield b"".join([glue(x, chunk) for x in run]), len(run) * len(chunk)
+            if skip:
+                glued = [_SEP + chunk.replace(_SEP, b + _SEP) + b for b in run]
+            else:
+                glued = [chunk.replace(_SEP, _SEP + a) for a in run]
+            yield b"".join(glued), len(run) * size
 
 
-def _arches(alphas: list, end: bytes):
-    # The products U a end, batched as by _joins: each batch of a's is
-    # raised one ordinate by one translate, then closed by U and end.
-    for lo in range(0, len(alphas), _BATCH):
-        chunk = alphas[lo : lo + _BATCH]
-        raised = _SEP.join(chunk).translate(_RAISE)
-        yield _SEP + _U + raised.replace(_SEP, end + _SEP + _U) + end, len(chunk)
+def _arches(alphas: bytes, width: int, end: bytes):
+    # The products U a end, batched as by _joins: each slice of a's is
+    # raised one ordinate by one translate and closed by one replace.
+    for lo in range(0, len(alphas), _BATCH * width):
+        raised = alphas[lo + 1 : lo + _BATCH * width].translate(_RAISE)
+        yield _SEP + _U + raised.replace(_SEP, end + _SEP + _U) + end, (len(raised) + 1) // width
 
 
 def _search(pi: str, highest: int) -> tuple | None:
@@ -197,21 +199,19 @@ def _mark(batch: bytes, count: int, search: tuple, floor: int) -> bytearray:
 
 
 def _file(into: dict, batches, search, floor: int) -> None:
-    # Add the products of the batches to the level buckets; a product with
-    # no hit above the floor is at the floor.  With no pattern (search None)
-    # every level is 0.
+    # Add the products of the batches to the level buckets as parts, which
+    # _compose joins.  A product with no hit above the floor, or no pattern
+    # (search None), is at the floor; a batch is split only over two levels.
     for batch, count in batches:
-        products = batch.split(_SEP)[1:]
-        if search is None:
-            into.setdefault(0, []).extend(products)
-            continue
-        mark = _mark(batch, count, search, floor)
+        mark = _mark(batch, count, search, floor) if search else bytes(1)
         values = set(mark)
-        for v in values:
-            picked = products
-            if len(values) > 1:  # the products marked v
-                picked = compress(products, mark.translate(bytes(v) + b"\x01" + bytes(255 - v)))
-            into.setdefault(max(v - 1, floor), []).extend(picked)
+        if len(values) == 1:
+            into.setdefault(max(values.pop() - 1, floor), []).append(batch)
+            continue
+        products = batch.split(_SEP)  # b"" first: each product joins back after a separator
+        for v in values:  # the products marked v
+            picked = compress(products, b"\x01" + mark.translate(bytes(v) + b"\x01" + bytes(255 - v)))
+            into.setdefault(max(v - 1, floor), []).append(_SEP.join(picked))
 
 
 def _tally(into: dict, batches, search, floor: int) -> None:
@@ -224,16 +224,11 @@ def _tally(into: dict, batches, search, floor: int) -> None:
             into[level] = into.get(level, 0) + mark.count(v)
 
 
-def _total(levels: dict) -> int:
-    return sum(map(len, levels.values()))
-
-
 def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) -> list[dict]:
-    """The members of sizes 0..size as tagged bytes, each size as a dict
-    level -> members.
+    """The members of sizes 0..size, each size as a dict level -> bucket.
 
-    With ``keep_last`` false the last item maps each level to the number
-    of members of that size instead, and no member of that size outlives
+    With ``keep_last`` false each item maps each level to the number of
+    members of that size instead, and no member of the last size outlives
     the batch it is built in; this needs a nonempty ``pi``.
 
     An empty ``pi`` imposes no condition: the result is every path of the
@@ -261,7 +256,12 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     unit = 1 if fam.semilength else 2
     has_f = "F" in fam.alphabet
     has_l = "L" in fam.alphabet
-    members = [{0: [b""]}]  # size -> level -> members
+    width = [2 * m // unit + 1 for m in range(size + 1)]  # a member's steps and separator
+
+    def count(levels: dict, m: int) -> int:
+        return sum(map(len, levels.values())) // width[m]
+
+    members = [{0: _SEP}]  # size -> level -> bucket of members
     arches: list[dict] = [{}]  # size -> level -> U a D members
     lefts: list[dict] = [{}]  # size -> level -> U a L members
     flats: list[dict] = [{}]  # size -> level -> F g members
@@ -273,36 +273,42 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
         # the heads of the last size head nothing: they go straight to out
         arch, left, flat = (out, out, out) if tally else ({}, {}, {})
         if n >= unit:
-            alphas = members[n - unit]
-            budget.spend(_total(alphas), n)
+            alphas, wa = members[n - unit], width[n - unit]
+            budget.spend(count(alphas, n - unit), n)
             for la, bucket in alphas.items():
-                file(arch, _arches(bucket, _D), search, la + 1 if la else 0)
+                file(arch, _arches(bucket, wa, _D), search, la + 1 if la else 0)
             if has_l and n > unit:  # a is nonempty
-                budget.spend(_total(alphas), n)
+                budget.spend(count(alphas, n - unit), n)
                 for la, bucket in alphas.items():
-                    file(left, _arches(bucket, _L), search, la + 1 if la else 0)
+                    file(left, _arches(bucket, wa, _L), search, la + 1 if la else 0)
         if has_f:
-            gammas = members[n - 1].get(0, [])
-            budget.spend(len(gammas), n)
-            file(flat, _joins([_F], gammas), search, 0)
+            gammas = members[n - 1].get(0, b"")
+            budget.spend(len(gammas) // width[n - 1], n)
+            file(flat, _joins(_SEP + _F, 2, gammas, width[n - 1]), search, 0)
         for i in range(unit, n):
             tails = members[n - i]
             for ha, heads in arches[i].items():
-                betas = [b for hb, bucket in tails.items() if hb <= ha for b in bucket]
-                budget.spend(len(heads) * len(betas), n)
-                file(out, _joins(heads, betas), search, ha)
-            budget.spend(_total(lefts[i]) * _total(flats[n - i]), n)
+                betas = b"".join([bucket for hb, bucket in tails.items() if hb <= ha])
+                budget.spend(len(heads) // width[i] * (len(betas) // width[n - i]), n)
+                file(out, _joins(heads, width[i], betas, width[n - i]), search, ha)
+            budget.spend(count(lefts[i], i) * count(flats[n - i], n - i), n)
             for hl, heads in lefts[i].items():
                 for hf, gs in flats[n - i].items():
-                    file(out, _joins(heads, gs), search, max(hl, hf))
-        if not tally:
+                    file(out, _joins(heads, width[i], gs, width[n - i]), search, max(hl, hf))
+        if not tally:  # each level's parts become one string, the heads' in out too
             for part in (arch, left, flat):
-                for h, bucket in part.items():
-                    out.setdefault(h, []).extend(bucket)
+                for h, parts in part.items():
+                    part[h] = b"".join(parts)
+                    out.setdefault(h, []).append(part[h])
+            for h, parts in out.items():
+                out[h] = b"".join(parts)
         members.append(out)
         arches.append(arch)
         lefts.append(left)
         flats.append(flat)
+    if not keep_last:  # the kept sizes as counts too
+        for n, levels in enumerate(members[:-1]):
+            members[n] = {k: len(bucket) // width[n] for k, bucket in levels.items()}
     return members
 
 
@@ -424,14 +430,8 @@ def count_class(
     charged the same as for ``members_by_level``.
     """
     pattern = _as_pattern(pattern)
-    *kept, last = _oracle(family, pattern.steps, max_size, budget, keep_last=False)
-    counts = {
-        (n, k): len(bucket)
-        for n, levels in enumerate(kept)
-        for k, bucket in levels.items()
-        if bucket
-    }
-    counts.update({(max_size, k): c for k, c in last.items() if c})
+    sizes = _oracle(family, pattern.steps, max_size, budget, keep_last=False)
+    counts = {(n, k): c for n, levels in enumerate(sizes) for k, c in levels.items() if c}
     return ClassCountTable(family, pattern, max_size, counts)
 
 
@@ -458,7 +458,7 @@ def base_series(family: Family, pattern: Pattern, k: int, order: int) -> Series:
     per family, pattern and order for all anchor levels.
     """
     pattern = _as_pattern(pattern)
-    r = max(pattern.amplitude, 1)
+    r = _anchor(pattern)
     if k < 0 or k > r:
         raise ValueError(f"level {k} outside the anchor range 0..{r}")
     return Series(list(_base_levels(family, pattern.steps, order)[k]))

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import enumerate as brute
-from .paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern, _as_pattern, _check_alphabet
+from .paths import (
+    DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern, _anchor, _as_pattern, _check_alphabet
+)
 from .series import Series, div, exact_quotient, moebius, rational, sqrt
 
 
@@ -80,8 +82,9 @@ class MoebiusCoeffs:
 
 @dataclass(frozen=True)
 class ClassGF:
-    """Total and per-level generating functions of one class instance, and
-    the Moebius coefficients whose quadratic ``class_gf`` checked A against."""
+    """Total and per-level generating functions of one class instance, the
+    Moebius coefficients whose quadratic ``class_gf`` checked A against,
+    and the anchor level r of the system they were iterated from."""
 
     family: Family | None
     pattern: Pattern | None
@@ -90,6 +93,7 @@ class ClassGF:
     A: Series
     per_level: tuple
     coeffs: MoebiusCoeffs | None = None
+    r: int | None = None
 
     def level(self, k: int) -> Series:
         if k < len(self.per_level):
@@ -157,7 +161,7 @@ def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
         k += 1
     if len(per_level) > len(bases):  # else B keeps the bases' order
         B = Series(t) - q
-    return ClassGF(None, None, spec.u, spec.v, B, tuple(per_level))
+    return ClassGF(None, None, spec.u, spec.v, B, tuple(per_level), r=spec.r)
 
 
 def solve_quadratic(coeffs: MoebiusCoeffs, order: int) -> Series:
@@ -280,17 +284,13 @@ def system_for(
     bases come from the first-return grammar DP (``enumerate.base_series``)
     unless supplied explicitly.
 
-    The system is anchored at level max(amplitude, 1): the recurrence for
-    level k needs the head of an arch to contain the pattern, which level
-    k - 1 only guarantees for k - 1 >= 1.  For patterns of positive
-    amplitude that is the usual anchor; for all-flat patterns level 1 is
-    counted as well.
+    The system is anchored at level max(amplitude, 1) (``paths._anchor``).
     """
     pattern = _as_pattern(pattern)
     _check_alphabet(family, pattern.steps)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    r = max(pattern.amplitude, 1)
+    r = _anchor(pattern)
     if bases is None:
         bases = tuple(
             brute.base_series(family, pattern, k, order) for k in range(r + 1)
@@ -335,4 +335,4 @@ def class_gf(
             raise ConsistencyFailure(
                 f"iteration and quadratic disagree for {family.name}/{pattern.steps}"
             )
-    return ClassGF(family, pattern, spec.u, spec.v, result.A, result.per_level, coeffs)
+    return ClassGF(family, pattern, spec.u, spec.v, result.A, result.per_level, coeffs, r=spec.r)

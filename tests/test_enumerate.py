@@ -54,7 +54,7 @@ class TestGeneratePaths:
         with pytest.raises(BudgetExceeded):
             generate_paths(DYCK, 8, budget=100)
 
-    def test_budget_charges_cached_paths(self):
+    def test_second_call_exhausts_the_same_budget(self):
         # a call after a successful default-budget call exhausts the same
         # small budget again: the outcome does not depend on earlier calls
         for call in (
@@ -378,6 +378,29 @@ class TestCountClassMemory:
                 tracemalloc.stop()
 
         assert traced_peak(count_class) < 0.8 * traced_peak(members_by_level)
+
+    @pytest.mark.parametrize(
+        "fam,pi,max_size",
+        [(MOTZKIN, "UUU", 15), (DYCK, "DDD", 12)],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_peak_is_near_the_kept_steps(self, fam, pi, max_size):
+        # Each size's bucket is one byte string, a separator before each
+        # member, so the smaller sizes kept cost about one byte per step,
+        # the arches' held twice (as heads and as members), with no object
+        # per member.  One bytes object per member (a header of about 33
+        # bytes and a list slot) put this peak at 3.9-4.7 times the steps.
+        counts = count_class(fam, pi, max_size).counts
+        steps = sum(
+            c * (2 * n if fam.semilength else n) for (n, _k), c in counts.items() if n < max_size
+        )
+        tracemalloc.start()
+        try:
+            count_class(fam, pi, max_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * steps
 
 
 class TestNegativeSizes:

@@ -275,6 +275,7 @@ class TestOrderZero:
     def test_counted_bases(self, family, pi):
         g = class_gf(family, Pattern(pi), 0)
         r = max(Pattern(pi).amplitude, 1)
+        assert g.r == r
         assert g.per_level == (Series.one(0),) + (Series.zero(0),) * r
         assert (g.u, g.v, g.A) == (Series.zero(0), Series.one(0), Series.one(0))
 
