@@ -29,15 +29,14 @@ from .series import (
     rational,
     sqrt,
 )
+from .grammar import base_series, precompute_base
 from .enumerate import (
     BudgetExceeded,
     ClassCountTable,
-    base_series,
     count_class,
     generate_paths,
     is_member,
     member_paths,
-    precompute_base,
 )
 from .gf import (
     ClassGF,

@@ -1,5 +1,4 @@
-"""Exhaustive oracle for the pattern-height path classes, and the anchor
-levels that the generating functions start from.
+"""Exhaustive oracle for the pattern-height path classes.
 
 The oracle composes the members of a class size by size from the members
 of smaller sizes, by the first-return decomposition that defines the
@@ -34,11 +33,7 @@ in ``latpath.gf``.
 
 Every call composes from scratch and keeps nothing afterwards; the path
 budget charges each path the call builds, smaller sizes included, so a
-call's outcome does not depend on what the process computed before.  The
-anchor levels (``base_series``) are counted by the first-return grammar DP
-of ``latpath.grammar`` instead, which abstracts members to states and
-builds no path, so the oracle and the series route cross-validate each
-other independently.
+call's outcome does not depend on what the process computed before.
 """
 
 from __future__ import annotations
@@ -47,12 +42,14 @@ import os
 from dataclasses import dataclass
 from itertools import compress
 
+# The anchor levels are counted by the grammar DP; importing them keeps
+# them among this module's public names, as the same function objects.
+from .grammar import base_series, precompute_base
 from .paths import (
     STEP_KINDS,
     Family,
     Path,
     Pattern,
-    _anchor,
     _as_pattern,
     _check_alphabet,
     _first_return,
@@ -61,7 +58,6 @@ from .paths import (
     _steps_of,
     profile,
 )
-from .series import Series
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "LATPATH_BUDGET"
@@ -442,39 +438,3 @@ def member_paths(
     pattern = _as_pattern(pattern)
     return _sorted_paths(family, members_by_level(family, pattern, size, budget)[size])
 
-
-# -- anchor levels ----------------------------------------------------------
-
-
-def base_series(family: Family, pattern: Pattern, k: int, order: int) -> Series:
-    """Generating function of the level-k members, truncated at the order.
-
-    Level 0 collects the paths with no occurrence above the axis (constant
-    term 1: the empty path); level amplitude collects the members whose
-    occurrences all touch the axis; levels strictly between are empty.
-    For all-flat patterns (amplitude 0) level 1 is also available, since
-    the level recurrence is anchored one step higher there.  The counts
-    come from the first-return grammar DP (``latpath.grammar``), one run
-    per family, pattern and order for all anchor levels.
-    """
-    pattern = _as_pattern(pattern)
-    r = _anchor(pattern)
-    if k < 0 or k > r:
-        raise ValueError(f"level {k} outside the anchor range 0..{r}")
-    return Series(list(_base_levels(family, pattern.steps, order)[k]))
-
-
-def precompute_base(family: Family, patterns, order: int) -> None:
-    """Batch warm-up so per-pattern ``base_series`` calls hit a warm cache."""
-    for pattern in patterns:
-        _base_levels(family, _as_pattern(pattern).steps, order)
-
-
-def _base_levels(family: Family, pi: str, order: int) -> tuple:
-    # Imported on first use: a process that never counts bases (say, one
-    # that passes its own) does not compile the grammar module, which
-    # costs about 3 ms when bytecode is not cached.
-    from .grammar import base_levels
-
-    _check_alphabet(family, pi)
-    return base_levels(family, pi, order)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from . import enumerate as brute
+from .grammar import base_series
 from .paths import (
     DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern, _anchor, _as_pattern, _check_alphabet
 )
@@ -96,11 +96,15 @@ class ClassGF:
     r: int | None = None
 
     def level(self, k: int) -> Series:
+        if k < 0:
+            raise ValueError(f"level must be >= 0, got {k}")
         if k < len(self.per_level):
             return self.per_level[k]
         return Series.zero(self.A.order)
 
     def partial_sum(self, k: int) -> Series:
+        if k < 0:
+            raise ValueError(f"level must be >= 0, got {k}")
         acc = Series.zero(self.A.order)
         for i in range(k + 1):
             acc = acc + self.level(i)
@@ -281,7 +285,7 @@ def system_for(
 
     p is x for the semilength families and x^2 for the step-count ones;
     q is 0, 1 (arch-or-left) or x*A_0 + 1 (the four-variant family).  The
-    bases come from the first-return grammar DP (``enumerate.base_series``)
+    bases come from the first-return grammar DP (``grammar.base_series``)
     unless supplied explicitly.
 
     The system is anchored at level max(amplitude, 1) (``paths._anchor``).
@@ -292,13 +296,11 @@ def system_for(
         raise ValueError(f"order must be >= 0, got {order}")
     r = _anchor(pattern)
     if bases is None:
-        bases = tuple(
-            brute.base_series(family, pattern, k, order) for k in range(r + 1)
-        )
+        bases = tuple(base_series(family, pattern, k, order) for k in range(r + 1))
     else:
         bases = tuple(s.truncate(min(s.order, order)) for s in bases)
         if len(bases) != r + 1:
-            raise ValueError(f"expected {r + 1} bases for amplitude {r}")
+            raise ValueError(f"expected {r + 1} bases, for levels 0..{r}")
     x = Series.x(order)
     p = x if family.semilength else x * x
     if family is DYCK or family is MOTZKIN:

@@ -32,13 +32,18 @@ A component's occurrences reappear in its parent, one higher inside an
 arch head and at the same height in a tail, so no component's top exceeds
 its parent's: dropping every state above the anchor level r is exact for
 levels 0..r.
+
+``base_series`` hands one anchor level to the series route as a Series.
+The DP builds no path, so that route stays independent of the exhaustive
+oracle (``latpath.enumerate``) that checks it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .paths import Family, _prefix_extrema
+from .paths import Family, Pattern, _anchor, _as_pattern, _check_alphabet, _prefix_extrema
+from .series import Series
 
 SEP = "|"
 
@@ -53,10 +58,9 @@ class _Grammar:
     def __init__(self, pi: str):
         self.pi = pi
         self.c = len(pi) - 1
-        mx, mn = _prefix_extrema(pi)
-        self.mp = mx
-        self.r = max(mx - mn, 1)
-        self.cap = self.r - mx  # largest top of a state at a level <= r
+        self.mp = _prefix_extrema(pi)[0]
+        self.r = _anchor(pi)
+        self.cap = self.r - self.mp  # largest top of a state at a level <= r
         self.ids: dict = {}  # (context, top) -> id
         self.ctx: list = []  # id -> context
         self.top: list = []  # id -> top
@@ -123,8 +127,8 @@ class _Grammar:
 
 @lru_cache(maxsize=256)
 def base_levels(family: Family, pi: str, order: int) -> tuple:
-    """Member counts of the levels 0..max(amplitude, 1), each a tuple over
-    the sizes 0..order."""
+    """Member counts of the levels 0..r (``paths._anchor``), each a tuple
+    over the sizes 0..order."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     g = _Grammar(pi)
@@ -164,3 +168,34 @@ def base_levels(family: Family, pi: str, order: int) -> tuple:
         for sid, count in states.items():
             levels[level[sid]][n] += count
     return tuple(tuple(row) for row in levels)
+
+
+def base_series(family: Family, pattern: Pattern | str, k: int, order: int) -> Series:
+    """Generating function of the level-k members, truncated at the order.
+
+    Level 0 collects the paths with no occurrence above the axis (constant
+    term 1: the empty path); level amplitude collects the members whose
+    occurrences all touch the axis; levels strictly between are empty.
+    For all-flat patterns (amplitude 0) level 1 is also available, since
+    the level recurrence is anchored one step higher there.  One run of
+    ``base_levels`` per family, pattern and order serves all anchor levels.
+    """
+    levels = _checked_levels(family, pattern, order)
+    if not 0 <= k < len(levels):
+        raise ValueError(f"level {k} outside the anchor range 0..{len(levels) - 1}")
+    return Series(list(levels[k]))
+
+
+def precompute_base(family: Family, patterns, order: int) -> None:
+    """Batch warm-up so per-pattern ``base_series`` calls hit a warm cache."""
+    for pattern in patterns:
+        _checked_levels(family, pattern, order)
+
+
+def _checked_levels(family: Family, pattern: Pattern | str, order: int) -> tuple:
+    # base_levels counts under any step string (one the family cannot spell
+    # puts every path at level 0); the public entry points refuse it, as
+    # class_gf does
+    pi = _as_pattern(pattern).steps
+    _check_alphabet(family, pi)
+    return base_levels(family, pi, order)

@@ -189,13 +189,13 @@ def amplitude(pattern) -> int:
     return mx - mn
 
 
-def _anchor(pattern: Pattern) -> int:
+def _anchor(pattern) -> int:
     """The level r = max(amplitude, 1) the level system is anchored at: the
     recurrence for level k needs the head of an arch to contain the
     pattern, which level k - 1 only guarantees for k - 1 >= 1.  For
     patterns of positive amplitude that is the usual anchor; for all-flat
-    patterns level 1 is counted as well."""
-    return max(pattern.amplitude, 1)
+    patterns level 1 is counted as well.  Takes a Pattern or step string."""
+    return max(amplitude(pattern), 1)
 
 
 def pattern_height(path, pattern) -> int:

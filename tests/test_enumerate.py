@@ -189,6 +189,24 @@ class TestBaseSeries:
         assert cold.A.int_coeffs()[1:] == [1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
 
 
+class TestAnchorLevelsHome:
+    """The anchor levels belong to the grammar DP; the oracle's module only
+    re-exports them, and the series route does not import the oracle."""
+
+    def test_one_function_object_per_name(self):
+        import latpath
+        from latpath import enumerate as oracle, grammar
+
+        assert oracle.base_series is grammar.base_series is latpath.base_series
+        assert oracle.precompute_base is grammar.precompute_base is latpath.precompute_base
+
+    def test_series_route_holds_no_reference_to_the_oracle(self):
+        from latpath import enumerate as oracle, gf, grammar
+
+        for module in (gf, grammar):
+            assert oracle not in vars(module).values(), module.__name__
+
+
 DEFINITION_SIZES = [(DYCK, 7), (MOTZKIN, 9), (SKEW_DYCK, 6), (SKEW_MOTZKIN, 8)]
 
 

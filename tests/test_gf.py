@@ -237,6 +237,26 @@ class TestClassGF:
             acc = acc + g.level(k)
         assert acc == g.A
 
+    @pytest.mark.parametrize("method, k", [("level", -1), ("level", -5), ("partial_sum", -1)])
+    def test_rejects_negative_level(self, method, k):
+        g = class_gf(DYCK, Pattern("UD"), 3)
+        with pytest.raises(ValueError, match=f"^level must be >= 0, got {k}$"):
+            getattr(g, method)(k)
+
+    @pytest.mark.parametrize("family, pi, r", [(DYCK, "UUD", 2), (MOTZKIN, "F", 1)])
+    def test_rejects_wrong_number_of_bases(self, family, pi, r):
+        # F has amplitude 0 but is anchored at level 1
+        with pytest.raises(ValueError, match=rf"^expected {r + 1} bases, for levels 0\.\.{r}$"):
+            system_for(family, pi, 5, bases=(Series.one(5),) * r)
+
+    def test_unchecked_call_keeps_no_coefficients(self):
+        checked = class_gf(SKEW_MOTZKIN, Pattern("UFL"), 12)
+        unchecked = class_gf(SKEW_MOTZKIN, Pattern("UFL"), 12, check=False)
+        assert unchecked.A == checked.A
+        assert unchecked.per_level == checked.per_level
+        assert unchecked.r == checked.r
+        assert checked.coeffs is not None and unchecked.coeffs is None
+
 
 class TestOnePassQuadratic:
     @pytest.mark.parametrize(
