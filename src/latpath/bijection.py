@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from .enumerate import _is_member
 from .gf import class_gf
 from .paths import (
-    DYCK,
-    MOTZKIN,
     Family,
     Path,
     Pattern,
@@ -112,7 +110,7 @@ def phi(path: Path, pattern: Pattern | str) -> Path:
     ordinate (e.g. DUDU, DFF): an occurrence could then contain a whole axis
     component, and rotating the components is not injective.
     """
-    if path.family not in (DYCK, MOTZKIN):
+    if "L" in path.family.alphabet:
         raise DomainError(f"map not defined on family {path.family.name}")
     pi = _as_pattern(pattern).steps
     if "L" in pi:

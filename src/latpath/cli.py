@@ -325,6 +325,9 @@ def cmd_oeis(args) -> int:
     except oeis_client.NetworkUnavailable as exc:
         print(f"warning: network unavailable ({exc}); falling back to cache", file=sys.stderr)
         entries = oeis_client.lookup(terms, mode="cache-only", cache_path=args.cache)
+    except OSError as exc:  # reading is forgiving, so this is appending new entries
+        path = args.cache or oeis_client.default_cache_path()
+        raise BadInput(f"cannot write the OEIS cache {path}: {exc.strerror or exc}") from None
     if not entries:
         print("no match")
     for e in entries:

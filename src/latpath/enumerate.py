@@ -118,11 +118,6 @@ _U, _D, _F, _L = b"\x00", b"\x05", b"\x02", b"\x07"  # U, F start at 0; D, L at 
 _BATCH = 4096  # products per batch: bounds the transient bytes of a group
 
 
-def _highest(fam: Family, size: int) -> int:
-    # the highest ordinate a path of the size can reach
-    return size if fam.semilength else size // 2
-
-
 def _untag(bucket: bytes) -> list[str]:
     return bucket.translate(_UNTAG).decode().split("|")[1:]
 
@@ -243,16 +238,15 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     - U a L F g (skew Motzkin): a U a L arch at level hl times a member F g
       at level hf; the floor is max(hl, hf).
 
-    The size of U..D and U..L is one for semilength families and two for
-    step-count families.  The U/L overlap rule holds throughout, because
-    an axis-returning L is followed only by F.
+    The size of U..D and U..L is ``Family.unit``.  The U/L overlap rule
+    holds throughout, because an axis-returning L is followed only by F.
     """
     if size == 0 and not keep_last:
         return [{0: 1}]
-    unit = 1 if fam.semilength else 2
+    unit = fam.unit
     has_f = "F" in fam.alphabet
     has_l = "L" in fam.alphabet
-    width = [2 * m // unit + 1 for m in range(size + 1)]  # a member's steps and separator
+    width = [fam.step_count(m) + 1 for m in range(size + 1)]  # a member's steps and separator
 
     def count(levels: dict, m: int) -> int:
         return sum(map(len, levels.values())) // width[m]
@@ -264,7 +258,7 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     for n in range(1, size + 1):
         tally = n == size and not keep_last
         file = _tally if tally else _file
-        search = _search(pi, _highest(fam, n))
+        search = _search(pi, n // unit)  # the highest ordinate a size-n path reaches
         out: dict = {}
         # the heads of the last size head nothing: they go straight to out
         arch, left, flat = (out, out, out) if tally else ({}, {}, {})
@@ -334,7 +328,7 @@ def _oracle(
     _check_alphabet(family, pi)
     if max_size < 0:
         raise ValueError(f"size must be >= 0, got {max_size}")
-    if _highest(family, max_size) > _TOP:
+    if max_size // family.unit > _TOP:
         raise ValueError(
             f"{family.name} paths of size {max_size} reach ordinates above {_TOP}, "
             "the highest the oracle's byte tags hold"

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .grammar import base_series
-from .paths import (
-    DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Family, Pattern, _anchor, _as_pattern, _check_alphabet
-)
+from .paths import Family, Pattern, _anchor, _as_pattern, _check_alphabet
 from .series import Series, div, exact_quotient, moebius, rational, sqrt
 
 
@@ -283,9 +281,9 @@ def system_for(
 ) -> SystemSpec:
     """Build the level system for a family/pattern instance.
 
-    p is x for the semilength families and x^2 for the step-count ones;
-    q is 0, 1 (arch-or-left) or x*A_0 + 1 (the four-variant family).  The
-    bases come from the first-return grammar DP (``grammar.base_series``)
+    p = x^unit (``Family.unit``), and q, from the steps, is 0 without L, 1
+    with L, and x*A_0 + 1 with L and F (U a L F g).  The bases come from
+    the first-return grammar DP (``grammar.base_series``)
     unless supplied explicitly.
 
     The system is anchored at level max(amplitude, 1) (``paths._anchor``).
@@ -301,16 +299,10 @@ def system_for(
         bases = tuple(s.truncate(min(s.order, order)) for s in bases)
         if len(bases) != r + 1:
             raise ValueError(f"expected {r + 1} bases, for levels 0..{r}")
-    x = Series.x(order)
-    p = x if family.semilength else x * x
-    if family is DYCK or family is MOTZKIN:
-        q = Series.zero(order)
-    elif family is SKEW_DYCK:
-        q = Series.one(order)
-    elif family is SKEW_MOTZKIN:
-        q = x * bases[0] + 1
-    else:
-        raise ValueError(f"unsupported family {family!r}")
+    p = Series.monomial(family.unit, order)
+    q = Series.zero(order)
+    if "L" in family.alphabet:  # U a L ends a path (1), or with F goes on by F g (x*A_0)
+        q = Series.x(order) * bases[0] + 1 if "F" in family.alphabet else Series.one(order)
     return SystemSpec(p, q, r, bases)
 
 

@@ -133,7 +133,7 @@ def base_levels(family: Family, pi: str, order: int) -> tuple:
         raise ValueError(f"order must be >= 0, got {order}")
     g = _Grammar(pi)
     level = g.level
-    unit = 1 if family.semilength else 2  # size of the wrapper U..D or U..L
+    unit = family.unit
     has_f = "F" in family.alphabet
     has_l = "L" in family.alphabet
     rows: dict = {}  # (is_arch, head id) -> {tail id: output id, or -1}

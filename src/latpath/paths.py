@@ -23,15 +23,27 @@ class Family:
 
     ``semilength`` selects the size unit: Dyck and skew Dyck paths are
     indexed by half their step count (one x per up step), Motzkin and
-    skew Motzkin paths by their step count.
+    skew Motzkin paths by their step count.  ``unit`` (the size of a
+    wrapper U..D or U..L) and the steps give the first-return shape that
+    every route reads; a step outside UDFL, or F sized by semilength, is refused.
     """
 
     name: str
     alphabet: frozenset
     semilength: bool
 
+    def __post_init__(self):
+        if not set(self.alphabet) <= set(STEP_KINDS):
+            raise ValueError(f"family {self.name!r}: steps outside {STEP_KINDS}")
+        if self.semilength and "F" in self.alphabet:
+            raise ValueError(f"family {self.name!r}: F steps have no size in a semilength family")
+
+    @property
+    def unit(self) -> int:
+        return 1 if self.semilength else 2
+
     def step_count(self, size: int) -> int:
-        return 2 * size if self.semilength else size
+        return 2 * size // self.unit
 
     def size_of(self, steps: str) -> int:
         if self.semilength:

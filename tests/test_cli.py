@@ -366,6 +366,25 @@ class TestOeis:
         assert "warning" in err.lower()
         assert "no match" in out
 
+    def test_unwritable_cache_is_bad_input(self, capsys, monkeypatch, tmp_path):
+        # a new search result is appended to the cache, whose parent here
+        # is a regular file
+        monkeypatch.setattr(
+            cli.oeis_client, "_http_transport",
+            lambda query: {"results": [{"number": 999999, "data": "9,9,9,9,9,9,9"}]},
+        )
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cache = blocker / "cache.jsonl"
+        code, out, err = run(
+            capsys, "oeis", "--mode", "network", "--from-series", "9,9,9,9,9,9",
+            "--cache", str(cache),
+        )
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith(f"error: cannot write the OEIS cache {cache}: ")
+        assert err.count("\n") == 1
+
 
 class TestBadInput:
     def assert_one_line_error(self, capsys, *argv):

@@ -1,5 +1,9 @@
+import dataclasses
+import pickle
+
 import pytest
 
+from latpath.enumerate import count_class
 from latpath.gf import (
     ClassGF,
     MoebiusCoeffs,
@@ -318,3 +322,44 @@ class TestOrderZero:
         g = class_gf(family, Pattern("F"), 1)
         assert g.A.int_coeffs() == [1, 1]
         assert g.per_level == (Series([1, 1]), Series.zero(1))
+
+
+class TestFirstReturnShape:
+    """p and q follow from the family's steps, not from which family it is."""
+
+    @pytest.mark.parametrize(
+        "family, unit, q",
+        [(DYCK, 1, "0"), (MOTZKIN, 2, "0"), (SKEW_DYCK, 1, "1"), (SKEW_MOTZKIN, 2, "x*A_0 + 1")],
+    )
+    def test_p_and_q(self, family, unit, q):
+        spec = system_for(family, "U", 6)
+        assert spec.p == Series.monomial(unit, 6)
+        expected = {
+            "0": Series.zero(6), "1": Series.one(6), "x*A_0 + 1": Series.x(6) * spec.bases[0] + 1
+        }
+        assert spec.q == expected[q]
+
+    @pytest.mark.parametrize(
+        "family, pi", [(DYCK, "UUD"), (MOTZKIN, "UF"), (SKEW_DYCK, "LD"), (SKEW_MOTZKIN, "UFL")]
+    )
+    @pytest.mark.parametrize(
+        "copy", [lambda f: pickle.loads(pickle.dumps(f)), dataclasses.replace]
+    )
+    def test_equal_copy_solves_alike(self, family, pi, copy):
+        twin = copy(family)
+        assert twin == family and twin is not family
+        mine, theirs = class_gf(family, pi, 8), class_gf(twin, pi, 8)
+        assert (theirs.A, theirs.per_level) == (mine.A, mine.per_level)
+
+    @pytest.mark.parametrize("family", [DYCK, SKEW_DYCK])
+    @pytest.mark.parametrize("pi", ["U", "UD", "DU", "UUD", "DUU", "UDU"])
+    def test_step_sized_arch_families(self, family, pi):
+        # sized by steps, p = x^2: the oracle agrees on every level to size
+        # 16, and the even coefficients are the semilength family's
+        steps = dataclasses.replace(family, name=family.name + "-by-steps", semilength=False)
+        g = class_gf(steps, pi, 16)
+        table = count_class(steps, pi, 16)
+        assert g.A.int_coeffs()[1:] == table.totals()
+        for k in range(max(len(g.per_level), table.max_level() + 1)):
+            assert g.level(k).int_coeffs() == table.level(k)
+        assert g.A.int_coeffs()[::2] == class_gf(family, pi, 8).A.int_coeffs()

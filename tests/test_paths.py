@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from latpath.paths import (
     SKEW_DYCK,
     SKEW_MOTZKIN,
     FAMILIES,
+    Family,
     Path,
     Pattern,
     amplitude,
@@ -104,6 +106,26 @@ class TestValidate:
         assert family("Skew-Dyck") is SKEW_DYCK
         with pytest.raises(ValueError):
             family("schroeder")
+
+
+class TestFamily:
+    def test_unit_is_the_wrapper_size(self):
+        assert [f.unit for f in ALL_FAMILIES] == [1, 2, 1, 2]
+        assert [f.step_count(5) for f in ALL_FAMILIES] == [10, 5, 10, 5]
+
+    def test_flat_steps_in_a_semilength_family(self):
+        with pytest.raises(ValueError, match="semilength"):
+            Family("x", frozenset("UDF"), True)
+
+    def test_unknown_step_kind(self):
+        with pytest.raises(ValueError, match="outside UDFL"):
+            Family("x", frozenset("UDX"), False)
+
+    def test_unit_is_derived_not_a_field(self):
+        # equality and hashing see only name, alphabet and semilength
+        twin = Family("dyck", frozenset("UD"), semilength=True)
+        assert twin == DYCK and hash(twin) == hash(DYCK)
+        assert [f.name for f in dataclasses.fields(Family)] == ["name", "alphabet", "semilength"]
 
 
 class TestHeight:
