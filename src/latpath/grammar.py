@@ -15,27 +15,32 @@ plus the whole path ``U a L``.  Here h is the pattern height of the
 standalone sub-path.  So members can be counted size by size from the
 members of smaller sizes, keeping of each component only its state:
 
-* ``top``: the largest ordinate at which an occurrence of the pattern
-  starts, -1 if there is none (the pattern height is top + max prefix
-  of the pattern, or 0 without an occurrence), and
-* its context: the whole string when it has at most m - 1 steps
-  (m = len(pattern)), else its first and last m - 1 steps joined by '|'.
+* its level (its pattern height), whether the pattern occurs in it, and
+* its overlaps with the pattern: which prefixes ``pi[:i]`` it ends with
+  and which suffixes ``pi[i:]`` it starts with, for i = 1..c, where
+  c = m - 1 and m = len(pattern).  A path of at most c steps is kept
+  whole instead.
 
-An occurrence that is not inside one component touches a step of the
-wrapper, or crosses the head|tail junction; either way it lies in the
-wrapper steps plus the contexts, at ordinates fixed by the boundary steps
-(a component returns to the ordinate it starts from).  So the state of a
-join or a wrap is a scan of the concatenated contexts and wrapper steps.
+An occurrence of the pattern that lies inside neither part of a join, or
+inside neither a wrapper step nor the wrapped member, uses at most c steps
+on each side of a boundary where the components sit on their base line.
+So it exists exactly when one side ends with ``pi[:i]`` and the other
+starts with ``pi[i:]``, and the pattern alone fixes its ordinate.  Hence
+the state of a join or a wrap depends only on the states of its parts
+(the failure-function argument of Knuth, Morris and Pratt, and the
+overlap sets of Guibas and Odlyzko), and one path per state, the first
+one seen, represents them all: a join or a wrap is the state of the
+representatives' concatenation with the wrapper steps.
 States are interned to integer ids, and each (kind, head) keeps a join
 row from tail ids to output ids, so every distinct pair is scanned once.
 A component's occurrences reappear in its parent, one higher inside an
-arch head and at the same height in a tail, so no component's top exceeds
-its parent's: dropping every state above the anchor level r is exact for
-levels 0..r.
+arch head and at the same height in a tail, so no component's level
+exceeds its parent's: dropping every state above the anchor level r is
+exact for levels 0..r.
 
 ``base_series`` hands one anchor level to the series route as a Series.
-The DP builds no path, so that route stays independent of the exhaustive
-oracle (``latpath.enumerate``) that checks it.
+The DP walks states, not members, so that route stays independent of the
+exhaustive oracle (``latpath.enumerate``) that checks it.
 """
 
 from __future__ import annotations
@@ -43,13 +48,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .paths import Family, Pattern, _anchor, _as_pattern, _check_alphabet, _prefix_extrema
+from .paths import _pattern_height, profile
 from .series import Series
-
-SEP = "|"
-
-
-def _disp(steps: str) -> int:
-    return steps.count("U") - steps.count("D") - steps.count("L")
 
 
 class _Grammar:
@@ -57,67 +57,50 @@ class _Grammar:
 
     def __init__(self, pi: str):
         self.pi = pi
-        self.c = len(pi) - 1
         self.mp = _prefix_extrema(pi)[0]
         self.r = _anchor(pi)
-        self.cap = self.r - self.mp  # largest top of a state at a level <= r
-        self.ids: dict = {}  # (context, top) -> id
-        self.ctx: list = []  # id -> context
-        self.top: list = []  # id -> top
+        self.prefixes = [pi[:i] for i in range(1, len(pi))]
+        self.suffixes = [pi[i:] for i in range(1, len(pi))]
+        self.ids: dict = {}  # key -> id
+        self.path: list = []  # id -> the first path seen with the key
         self.level: list = []  # id -> pattern height
         self._wraps: dict = {}  # (id, close) -> id
 
-    def state(self, skel: str, top: int = -1) -> int:
-        """The id of the path spelled by a skeleton (steps and component
-        contexts) whose components' occurrences start at most at ``top``;
-        -1 when the path is above the anchor level."""
-        c, pi = self.c, self.pi
-        if pi in skel:
-            # an occurrence lies in one run of steps between separators; a
-            # component's first and last c steps surround its separator,
-            # and it ends at the ordinate it starts from
-            runs = skel.split(SEP)
-            y = 0  # ordinate at the start of the run
-            for j, run in enumerate(runs):
-                i = run.find(pi)
-                while i >= 0:
-                    top = max(top, y + _disp(run[:i]))
-                    i = run.find(pi, i + 1)
-                if j + 1 < len(runs):
-                    y += _disp(run[: len(run) - c]) - _disp(runs[j + 1][:c])
-        if top > self.cap:
+    def state(self, s: str) -> int:
+        """The id of the path s; -1 when it is above the anchor level."""
+        pi = self.pi
+        hit = pi in s
+        level = _pattern_height(s, profile(s), pi, self.mp) if hit else 0
+        if level > self.r:
             return -1
-        if SEP in skel or len(skel) > c:
-            skel = skel[:c] + SEP + skel[len(skel) - c :]
-        key = (skel, top)
+        key = s
+        if len(s) >= len(pi):
+            ends = tuple(map(s.endswith, self.prefixes))
+            key = (level, hit, ends, tuple(map(s.startswith, self.suffixes)))
         sid = self.ids.get(key)
         if sid is None:
-            sid = self.ids[key] = len(self.ctx)
-            self.ctx.append(skel)
-            self.top.append(top)
-            self.level.append(top + self.mp if top >= 0 else 0)
+            sid = self.ids[key] = len(self.path)
+            self.path.append(s)
+            self.level.append(level)
         return sid
 
     def join(self, h: int, t: int) -> int:
         """The id of head h followed by tail t."""
-        return self.state(self.ctx[h] + self.ctx[t], max(self.top[h], self.top[t]))
+        return self.state(self.path[h] + self.path[t])
 
     def wrap(self, a: int, close: str) -> int:
         """The id of U a <close>."""
         key = (a, close)
         sid = self._wraps.get(key)
         if sid is None:
-            top = self.top[a]
-            sid = self._wraps[key] = self.state(
-                "U" + self.ctx[a] + close, top + 1 if top >= 0 else -1
-            )
+            sid = self._wraps[key] = self.state("U" + self.path[a] + close)
         return sid
 
     def wraps(self, states: dict, close: str, nonempty: bool) -> dict:
         """The paths U a <close> for the members a of one size."""
         out: dict = {}
         for a, n in states.items():
-            if nonempty and not self.ctx[a]:
+            if nonempty and not self.path[a]:
                 continue
             sid = self.wrap(a, close)
             if sid >= 0:

@@ -8,7 +8,7 @@ from latpath.cli import (
     EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_VERIFY_FAILED,
     _verification_checks, main,
 )
-from latpath.paths import pattern_height, reversed_complement
+from latpath.paths import FAMILIES, pattern_height, reversed_complement
 from latpath.series import Series
 
 
@@ -103,6 +103,15 @@ class TestTable:
         )
         assert code == EXIT_BUDGET
         assert "budget" in err.lower()
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_length_4_classes_match_oracle(self, name):
+        # the totals and every level of each class of a pattern of length
+        # <= 4, solved through the level iteration, against count_class
+        fam, cap = FAMILIES[name], cli.ORACLE_CAP[name]
+        _, classes = cli.build_table(fam, 4, cap)
+        assert len(classes) == len(cli.all_patterns(fam, 4))
+        assert cli.verify_table_cells(classes, cap)
 
 
 class TestSeries:
