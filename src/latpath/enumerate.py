@@ -16,20 +16,22 @@ are built from whole bucket slices in batches of a few thousand, by one
 ``replace`` per member of the smaller side, and each product's level is
 read off its whole tagged string.  Each group of products has a floor, a
 level its components already guarantee: an arch holds its inner member
-raised one ordinate, and a product holds its head verbatim.  The pattern
-tagged at each start ordinate is searched for from the highest level down
-to the floor, so a product's first hit gives its level and a product with
-no hit is at the floor; a batch with floor 0 that is free of the untagged
-pattern is all at level 0.  Every level above the floor is searched, with
-no upper bound taken from the components, so the oracle shares no
-abstraction with the grammar DP that it checks.  ``members_by_level``
-returns step strings; paths that can reach above ordinate 61 do not fit
-the tags, and sizes that allow them raise ValueError.  With no pattern
-every level is 0 and every condition holds, so the same composer generates
-every path of the family.  ``count_class`` needs only counts at its own
-size: it keeps the smaller sizes and counts its own batch by batch without
-keeping it.  A pattern with a step the family lacks raises ValueError, as
-in ``latpath.gf``.
+raised one ordinate, and a product holds its head verbatim.  Each batch
+is searched once for the pattern, after one ``translate`` that untags every
+step high enough to lie in an occurrence above the floor and blanks every
+other step and the separators, so each match is an occurrence above the
+floor and none crosses two products.  A match's first tag gives its level,
+a product's level is its highest match's, and a product with no match is
+at the floor.  Every occurrence above the floor is found in the whole
+product string, with no upper bound taken from the components, so the
+oracle shares no abstraction with the grammar DP that it checks.
+``members_by_level`` returns step strings; paths that can reach above
+ordinate 61 do not fit the tags, and sizes that allow them raise
+ValueError.  With no pattern every level is 0 and every condition holds,
+so the same composer generates every path of the family.  ``count_class``
+needs only counts at its own size: it keeps the smaller sizes and counts
+its own batch by batch without keeping it.  A pattern with a step the
+family lacks raises ValueError, as in ``latpath.gf``.
 
 Every call composes from scratch and keeps nothing afterwards; the path
 budget charges each path the call builds, smaller sizes included, so a
@@ -108,8 +110,8 @@ class _Budget:
 # the byte 4*y + code (U, D, F, L = 0..3).  Every member starts and ends on
 # the axis, so a + b is tagged by concatenation and U a D by raising a's
 # tags one ordinate.  Tags stay below the separator 0xFF before each
-# member of a bucket and each product of a batch, so no match of a tagged
-# or untagged pattern crosses two products.
+# member of a bucket and each product of a batch, which untags to "|", so
+# no match of the pattern crosses two products.
 _TOP = 61  # highest ordinate held: tags stay at or below 4 * 61 + 3 = 247
 _SEP = b"\xff"
 _RAISE = bytes.maketrans(bytes(range(4 * _TOP)), bytes(range(4, 4 * _TOP + 4)))
@@ -154,38 +156,48 @@ def _arches(alphas: bytes, width: int, end: bytes):
 
 
 def _search(pi: str, highest: int) -> tuple | None:
-    # pi as bytes and, highest first, pi tagged at each start ordinate y
-    # where it fits between the axis and the highest ordinate, with the
-    # level y + mp of an occurrence there; None when there is no pattern.
+    # pi as bytes, its highest point mp above its start, and for each floor
+    # f up to highest the table that untags every step starting at or above
+    # T(f) = f + 1 - mp + s_min and blanks to "|" every other step and every
+    # letter pi lacks (s_min: the lowest start ordinate of a step of pi,
+    # relative to its start); None when there is no pattern.  An occurrence
+    # starting at ordinate y is above the floor, at level y + mp > f,
+    # exactly when its lowest step starts at or above T(f).
     if not pi:
         return None
-    mp, mn = _prefix_extrema(pi)
-    codes = [4 * y + STEP_KINDS.index(ch) for y, ch in zip(profile(pi), pi)]
-    sweeps = [(y + mp, bytes(c + 4 * y for c in codes)) for y in range(highest - mp, -mn - 1, -1)]
-    return pi.encode(), sweeps
+    mp = _prefix_extrema(pi)[0]
+    low = min(profile(pi)[:-1])
+    lacking = "".join(ch for ch in STEP_KINDS if ch not in pi).encode()
+    letters = _UNTAG.translate(bytes.maketrans(lacking, b"|" * len(lacking)))
+    tables = []
+    for f in range(highest + 1):
+        t = 4 * max(f + 1 - mp + low, 0)
+        tables.append(b"|" * t + letters[t:])
+    return pi.encode(), mp, tables
 
 
-def _mark(batch: bytes, count: int, search: tuple, floor: int) -> bytearray:
+def _mark(batch: bytes, count: int, search: tuple, floor: int) -> bytearray | None:
     # 1 + the level of each of the batch's count products that holds pi
-    # above the floor, 0 for the others.  Every product has the same length,
-    # so the one holding position i is i // stride.  The tagged pi is swept
-    # from its highest start ordinate down to just above the floor, so a
-    # product's first hit gives its level.  Under a positive floor every
-    # product holds pi, so the untagged pre-check would find it in all.
-    word, sweeps = search
+    # above the floor, 0 for the others; None when no product does, which
+    # is most batches.  One search of the blanked batch finds every
+    # occurrence above the floor, none across two products (separators and
+    # blanks are "|"); the first byte of a match gives its start ordinate
+    # and so its level, and a product's level is its highest match's.
+    # Every product has the same length, so the one holding position i is
+    # i // stride.
+    word, mp, tables = search
+    text = batch.translate(tables[floor])
+    i = text.find(word)
+    if i < 0:
+        return None
     mark = bytearray(count)
-    if not floor and word not in batch.translate(_UNTAG):
-        return mark
     stride = len(batch) // count
-    for level, tagged in sweeps:
-        if level <= floor:
-            break
-        i = batch.find(tagged)
-        while i >= 0:
-            k = i // stride
-            if not mark[k]:
-                mark[k] = level + 1
-            i = batch.find(tagged, (k + 1) * stride)
+    while i >= 0:
+        k = i // stride
+        level = (batch[i] >> 2) + mp + 1
+        if level > mark[k]:
+            mark[k] = level
+        i = text.find(word, i + 1)
     return mark
 
 
@@ -194,10 +206,13 @@ def _file(into: dict, batches, search, floor: int) -> None:
     # _compose joins.  A product with no hit above the floor, or no pattern
     # (search None), is at the floor; a batch is split only over two levels.
     for batch, count in batches:
-        mark = _mark(batch, count, search, floor) if search else bytes(1)
+        mark = _mark(batch, count, search, floor) if search else None
+        if mark is None:
+            into.setdefault(floor, []).append(batch)
+            continue
         values = set(mark)
         if len(values) == 1:
-            into.setdefault(max(values.pop() - 1, floor), []).append(batch)
+            into.setdefault(values.pop() - 1, []).append(batch)
             continue
         products = batch.split(_SEP)  # b"" first: each product joins back after a separator
         for v in values:  # the products marked v
@@ -210,6 +225,9 @@ def _tally(into: dict, batches, search, floor: int) -> None:
     # product outlives its batch.
     for batch, count in batches:
         mark = _mark(batch, count, search, floor)
+        if mark is None:
+            into[floor] = into.get(floor, 0) + count
+            continue
         for v in set(mark):
             level = max(v - 1, floor)
             into[level] = into.get(level, 0) + mark.count(v)
@@ -255,10 +273,10 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     arches: list[dict] = [{}]  # size -> level -> U a D members
     lefts: list[dict] = [{}]  # size -> level -> U a L members
     flats: list[dict] = [{}]  # size -> level -> F g members
+    search = _search(pi, size // unit)  # the highest ordinate a path reaches
     for n in range(1, size + 1):
         tally = n == size and not keep_last
         file = _tally if tally else _file
-        search = _search(pi, n // unit)  # the highest ordinate a size-n path reaches
         out: dict = {}
         # the heads of the last size head nothing: they go straight to out
         arch, left, flat = (out, out, out) if tally else ({}, {}, {})

@@ -96,12 +96,12 @@ class Series:
 
     def int_coeffs(self) -> list[int]:
         """Coefficients as plain ints; raises if any is non-integral."""
-        out = []
+        # __init__ keeps every integral coefficient as an int, so any other
+        # is a non-integral Fraction
         for n, c in enumerate(self.coeffs):
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise ValueError(f"coefficient of x^{n} is not an integer: {c}")
-            out.append(c.numerator)
-        return out
+        return list(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,14 @@ from latpath.cli import (
 )
 from latpath.paths import FAMILIES, pattern_height, reversed_complement
 from latpath.series import Series
+
+# sha256 of `latpath table --family F --max-pattern-len 4 --format csv`
+LENGTH_4_DIGESTS = {
+    "dyck": "c8b6102012de22764e15ca1867c14a4d8af2ed4a5918f9e4aff23e60b427534a",
+    "motzkin": "6addd71db031244e899ba96ba59c5e57ba7891d05c458297bec15b6e1a2ee3df",
+    "skew-dyck": "e0575dbe34045590120440f034662ed3c0a3de5bb68fc6e73f78eb5d54ca028c",
+    "skew-motzkin": "09ccac0ab6340ec81712420f9ce2ee9ba942797057634de4b90efc8d18b39dec",
+}
 
 
 def run(capsys, *argv):
@@ -112,6 +121,15 @@ class TestTable:
         _, classes = cli.build_table(fam, 4, cap)
         assert len(classes) == len(cli.all_patterns(fam, 4))
         assert cli.verify_table_cells(classes, cap)
+
+    @pytest.mark.parametrize("name", sorted(LENGTH_4_DIGESTS))
+    def test_length_4_table_digest(self, capsys, name):
+        # the whole length-4 table at the default n, pinned byte for byte
+        code, out, _ = run(
+            capsys, "table", "--family", name, "--max-pattern-len", "4", "--format", "csv"
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == LENGTH_4_DIGESTS[name]
 
 
 class TestSeries:

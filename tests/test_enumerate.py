@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from latpath import enumerate as brute
 from latpath.cli import all_patterns
 from latpath.enumerate import (
     BudgetExceeded,
@@ -14,7 +15,9 @@ from latpath.enumerate import (
     members_by_level,
     precompute_base,
 )
-from latpath.paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Path, Pattern, pattern_height
+from latpath.paths import (
+    DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, STEP_KINDS, Path, Pattern, pattern_height, profile,
+)
 from latpath.series import rational
 from reference_membership import reference_is_member
 
@@ -559,3 +562,64 @@ class TestBatchBoundaries:
         for batch in (1, 3, 64):
             monkeypatch.setattr(brute, "_BATCH", batch)
             assert run() == expected, batch
+
+
+class TestMarkFloorBoundary:
+    """``_mark`` on hand-built tagged batches: one blanked search finds each
+    product's occurrences above the floor, and a product's level is its
+    highest occurrence's."""
+
+    @staticmethod
+    def batch(*paths):
+        # each path tagged step by step, after a separator, as _compose holds it
+        tags = [bytes(4 * y + STEP_KINDS.index(ch) for y, ch in zip(profile(p), p)) for p in paths]
+        return b"".join(brute._SEP + t for t in tags), len(paths)
+
+    def mark(self, pi, floor, *paths):
+        mark = brute._mark(*self.batch(*paths), brute._search(pi, 8), floor)
+        return None if mark is None else list(mark)
+
+    def test_occurrence_at_the_floor_is_not_marked(self):
+        # UD occurs in UUDD at level 2 only
+        assert self.mark("UD", 2, "UUDD") is None
+        assert self.mark("UD", 1, "UUDD") == [3]
+
+    def test_occurrence_one_above_the_floor_is_marked(self):
+        # UD at level 1 in UDUD, at level 2 in UUDD: 1 + level per product
+        assert self.mark("UD", 0, "UDUD", "UUDD") == [2, 3]
+        assert self.mark("UD", 1, "UDUD", "UUDD") == [0, 3]
+
+    def test_highest_of_two_levels_wins(self):
+        # UD at levels 1 and 2, the lower one first and last
+        assert self.mark("UD", 0, "UDUUDD", "UUDDUD") == [3, 3]
+        assert self.mark("UD", 1, "UDUUDD", "UUDDUD") == [3, 3]
+        assert self.mark("UD", 2, "UDUUDD", "UUDDUD") is None
+
+    def test_letters_pi_lacks_never_match(self):
+        _, _, tables = brute._search("F", 8)
+        batch, _ = self.batch("UUDD", "UDUD")
+        assert set(batch.translate(tables[0])) == {ord("|")}
+        assert self.mark("F", 0, "UUDD", "UDUD") is None
+        assert self.mark("F", 0, "UFDF", "FUFD") == [2, 2]
+
+    def test_no_match_across_two_products(self):
+        # UUDD then UUDD: D U only across the separator
+        assert self.mark("DU", 0, "UUDD", "UUDD") is None
+        assert self.mark("DU", 0, "UDUD", "UUDD") == [2, 0]
+
+    def test_all_flat_pattern(self):
+        # FFF has level y at ordinate y, so on the axis it is level 0 and
+        # floor 0 already blanks the axis: T(0) = 1
+        _, _, tables = brute._search("FFF", 8)
+        assert tables[0][brute._F[0]] == ord("|") and tables[0][4 + brute._F[0]] == ord("F")
+        assert self.mark("FFF", 0, "FFFUD", "UFFFD") == [0, 2]
+        assert self.mark("FFF", 1, "FFFUD", "UFFFD") is None
+        assert self.mark("FFF", 0, "UFFFFD") == [2]  # two overlapping occurrences
+
+    def test_left_pattern(self):
+        # L starting at ordinate y ends at y - 1, so its level is y
+        assert self.mark("L", 0, "UUDL", "UDUD") == [2, 0]
+        assert self.mark("L", 0, "UUULLD") == [4]  # L at ordinates 3 and 2
+        assert self.mark("L", 1, "UUDL", "UUULLD") == [0, 4]
+        assert self.mark("L", 2, "UUULLD") == [4]
+        assert self.mark("L", 3, "UUULLD") is None

@@ -363,3 +363,27 @@ class TestFirstReturnShape:
         for k in range(max(len(g.per_level), table.max_level() + 1)):
             assert g.level(k).int_coeffs() == table.level(k)
         assert g.A.int_coeffs()[::2] == class_gf(family, pi, 8).A.int_coeffs()
+
+
+class TestOracleAtCrosscheckSizes:
+    """The series route and the exhaustive oracle agree on the total and
+    every level at the largest oracle sizes, for patterns that reach each
+    branch of the oracle's level search: a single step, hits under a
+    positive floor, an all-F pattern (blanked on the axis), letters the
+    pattern lacks, L patterns, and the heaviest hit counts seen (Motzkin
+    FUU and DFF)."""
+
+    @pytest.mark.parametrize(
+        "family, size, pi",
+        [(DYCK, 12, pi) for pi in ("U", "DUD", "UUD", "DDU")]
+        + [(MOTZKIN, 15, pi) for pi in ("F", "DD", "FFF", "FUU", "DFF", "FDU", "UFD")]
+        + [(SKEW_DYCK, 10, pi) for pi in ("L", "LD", "DUU", "DDL", "UDL")]
+        + [(SKEW_MOTZKIN, 13, pi) for pi in ("F", "LFU", "DFU", "DLL", "FFF", "UFL")],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_totals_and_every_level(self, family, size, pi):
+        g = class_gf(family, pi, size)
+        table = count_class(family, pi, size)
+        assert g.A.int_coeffs()[1:] == table.totals()
+        for k in range(max(len(g.per_level), table.max_level() + 1)):
+            assert g.level(k).int_coeffs() == table.level(k), k

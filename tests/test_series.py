@@ -207,6 +207,12 @@ class TestRepresentation:
         with pytest.raises(TypeError):
             Series([0.5], 2)
 
+    def test_int_coeffs_names_the_non_integral_coefficient(self):
+        s = Series([1, 2, Fraction(1, 2), Fraction(6, 3)], 4)
+        with pytest.raises(ValueError, match=r"coefficient of x\^2 is not an integer: 1/2"):
+            s.int_coeffs()
+        assert Series([Fraction(4, 2), True, 3], 3).int_coeffs() == [2, 1, 3, 0]
+
 
 mixed_st = st.one_of(st.integers(min_value=-5, max_value=5), fractions_st)
 
