@@ -98,6 +98,19 @@ def _phi(s: str, prof, pi: str, mp: int, lo: int) -> str:
     return (s[cuts[1] :] + head + s[j : cuts[1]])[::-1].translate(_COMPLEMENT)
 
 
+def _images(members: list[str], pi: str, mp: int) -> list[str]:
+    # The images of whole members, in no fixed order.  The members free of
+    # pi (all of them when pi is all F) are the reversed complements that
+    # _phi would return, taken together in one pass over their joined text.
+    if not pi.strip("F"):
+        free, rest = members, []
+    else:
+        free = [s for s in members if pi not in s]
+        rest = [s for s in members if pi in s]
+    images = "|".join(free)[::-1].translate(_COMPLEMENT).split("|") if free else []
+    return images + [_phi(s, None, pi, mp, 0) for s in rest]
+
+
 def phi(path: Path, pattern: Pattern | str) -> Path:
     """Map a member at level 0 or amplitude to the sibling class.
 

@@ -110,12 +110,21 @@ class ClassGF:
 
 
 def moebius_coeffs(p: Series, q: Series, u: Series, v: Series) -> MoebiusCoeffs:
-    """The Moebius coefficients determined by p, q, u = A_r and v = B_r - A_r."""
+    """The Moebius coefficients determined by p, q, u = A_r and v = B_r - A_r.
+
+    With s = q + u + v they are a = p^2 q v s - p q u - u - v,
+    b = -p (p q + 1) s, c = -p^2 v s - p q - p v - 1 and d = p^2 s, formed
+    from eight shared products.  ``Series.__mul__`` skips the zero
+    coefficients of its left operand only, so the sparser factor goes left.
+    """
     s = q + u + v
-    a = p * p * q * v * s - p * q * u - u - v
-    b = -(p * (p * q + 1) * s)
-    c = -(p * p * v * s) - q * p - p * v - 1
-    d = p * p * s
+    pq = p * q
+    ps = p * s
+    d = p * ps
+    dv = d * v
+    a = q * dv - pq * u - u - v
+    b = -((pq + 1) * ps)
+    c = -dv - pq - p * v - 1
     return MoebiusCoeffs(a, b, c, d)
 
 

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from latpath.bijection import DomainError, PatternPair, phi, verify_reversed_complement_symmetry
+from latpath.bijection import (
+    DomainError, PatternPair, _images, _phi, phi, verify_reversed_complement_symmetry,
+)
 from latpath.cli import all_patterns
-from latpath.enumerate import count_class, generate_paths, member_paths
+from latpath.enumerate import count_class, generate_paths, member_paths, members_by_level
 from latpath.gf import class_gf, system_for
 from latpath.paths import (
     DYCK,
@@ -12,6 +14,7 @@ from latpath.paths import (
     SKEW_DYCK,
     Path,
     Pattern,
+    _prefix_extrema,
     pattern_height,
     reversed_complement,
 )
@@ -103,6 +106,43 @@ class TestPhi:
             phi(Path("UDUD", DYCK), Pattern("DUDU"))
         with pytest.raises(DomainError):
             phi(Path("UDFF", MOTZKIN), Pattern("DFF"))
+
+
+class TestImages:
+    """``_images`` maps a list of members as ``_phi`` maps each one."""
+
+    @staticmethod
+    def assert_like_phi(members, pi):
+        mp, _ = _prefix_extrema(pi)
+        expected = sorted(_phi(s, None, pi, mp, 0) for s in members)
+        assert sorted(_images(members, pi, mp)) == expected
+
+    @pytest.mark.parametrize(
+        "fam,max_len,max_size", [(DYCK, 3, 5), (MOTZKIN, 2, 10)], ids=["dyck", "motzkin"]
+    )
+    def test_every_domain_of_the_map_check(self, fam, max_len, max_size):
+        # the buckets at levels 0 and r that verify --level full maps
+        for pi in all_patterns(fam, max_len):
+            mp, mn = _prefix_extrema(pi)
+            for members in members_by_level(fam, pi, max_size):
+                for k in {0, mp - mn}:
+                    self.assert_like_phi(members.get(k, []), pi)
+
+    @pytest.mark.parametrize("pi", ["F", "FF"])
+    def test_all_flat_patterns(self, pi):
+        # every member, whether it holds pi or not, maps to its reversed
+        # complement
+        members = ["", "F", "FF", "UFD", "UDFF", "FUFDF", "UUDFD"]
+        self.assert_like_phi(members, pi)
+        mp, _ = _prefix_extrema(pi)
+        assert sorted(_images(members, pi, mp)) == sorted(map(reversed_complement, members))
+
+    @pytest.mark.parametrize("pi", ["UUD", "DUU", "F", "UF"])
+    def test_empty_path_and_empty_list(self, pi):
+        mp, _ = _prefix_extrema(pi)
+        assert _images([""], pi, mp) == [""]
+        assert _images([], pi, mp) == []
+        self.assert_like_phi(["", "UD", "UUDD"], pi)
 
 
 class TestPhiRejectsNonMembers:

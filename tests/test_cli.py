@@ -7,7 +7,7 @@ import pytest
 from latpath import bijection, cli, enumerate as brute, gf
 from latpath.cli import (
     EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_VERIFY_FAILED,
-    _verification_checks, main,
+    _verification_checks, all_patterns, main, step_law_holds,
 )
 from latpath.paths import FAMILIES, pattern_height, reversed_complement
 from latpath.series import Series
@@ -348,6 +348,70 @@ class TestVerifyCatchesBrokenMap:
 
         monkeypatch.setattr(bijection, "_phi", plain)
         self.run_full(capsys)
+
+    def test_avoiders_reversed_without_complement(self, capsys, monkeypatch):
+        # _images' one-pass branch, which maps every member free of the
+        # pattern, reverses but does not complement: UD maps to DU, no path
+        def reversing(members, pi, mp):
+            if not pi.strip("F"):
+                free, rest = members, []
+            else:
+                free = [s for s in members if pi not in s]
+                rest = [s for s in members if pi in s]
+            images = "|".join(free)[::-1].split("|") if free else []
+            return images + [bijection._phi(s, None, pi, mp, 0) for s in rest]
+
+        monkeypatch.setattr(bijection, "_images", reversing)
+        self.run_full(capsys)
+
+
+class TestStepLaw:
+    """``step_law_holds`` on running partial sums agrees with stepping
+    ``partial_sum(k - 1)`` to ``partial_sum(k)`` afresh."""
+
+    PLANS = [(FAMILIES["dyck"], 3, 8), (FAMILIES["motzkin"], 2, 9),
+             (FAMILIES["skew-dyck"], 2, 7), (FAMILIES["skew-motzkin"], 1, 9)]
+
+    @staticmethod
+    def afresh(g):
+        return all(
+            gf.moebius_step(g.coeffs, g.partial_sum(k - 1)) == g.partial_sum(k)
+            for k in range(g.r + 1, g.r + 4)
+        )
+
+    @staticmethod
+    def with_raised_level(g, k):
+        # level k with its last coefficient raised by one
+        levels = list(g.per_level)
+        top = list(levels[k].coeffs)
+        top[-1] += 1
+        levels[k] = Series(top)
+        return dataclasses.replace(g, per_level=tuple(levels))
+
+    @pytest.mark.parametrize("fam,max_len,order", PLANS, ids=lambda v: getattr(v, "name", None))
+    def test_agrees_with_partial_sums_afresh(self, fam, max_len, order):
+        for pi in all_patterns(fam, max_len):
+            g = gf.class_gf(fam, pi, order)
+            assert step_law_holds(g) and self.afresh(g)
+            for k in range(g.r + 1, min(g.r + 4, len(g.per_level))):
+                broken = self.with_raised_level(g, k)
+                assert not step_law_holds(broken) and not self.afresh(broken), (pi, k)
+
+    def test_stops_at_the_first_failure(self, monkeypatch):
+        g = gf.class_gf(FAMILIES["dyck"], "UUD", 8)
+        broken = self.with_raised_level(g, g.r + 1)
+        steps = []
+
+        def counting(coeffs, B_prev):
+            steps.append(B_prev)
+            return gf.moebius_step(coeffs, B_prev)
+
+        monkeypatch.setattr(cli, "moebius_step", counting)
+        assert step_law_holds(g)
+        assert len(steps) == 3
+        steps.clear()
+        assert not step_law_holds(broken)
+        assert steps == [g.partial_sum(g.r)]
 
 
 class TestOeis:

@@ -93,6 +93,29 @@ class TestMoebiusCoeffs:
         assert got.c == -(p * p * v * s) - p * v - 1
         assert got.d == p * p * s
 
+    @staticmethod
+    def reference(p, q, u, v):
+        # the sixteen-product expressions the shared products replace
+        s = q + u + v
+        a = p * p * q * v * s - p * q * u - u - v
+        b = -(p * (p * q + 1) * s)
+        c = -(p * p * v * s) - q * p - p * v - 1
+        d = p * p * s
+        return MoebiusCoeffs(a, b, c, d)
+
+    @pytest.mark.parametrize(
+        "family, pis",
+        [(DYCK, ("U", "UD", "UUD", "DUU")), (MOTZKIN, ("F", "UF", "FFF", "UFD")),
+         (SKEW_DYCK, ("L", "DL", "UDL")), (SKEW_MOTZKIN, ("F", "UFL", "FFF"))],
+        ids=lambda v: getattr(v, "name", None) or "+".join(v),
+    )
+    def test_shared_products_match_the_reference(self, family, pis):
+        for pi in pis:
+            for order in [*range(13), 60]:
+                spec = system_for(family, pi, order)
+                args = spec.p, spec.q, spec.u, spec.v
+                assert moebius_coeffs(*args) == self.reference(*args), (pi, order)
+
     def test_step_law_matches_iteration(self):
         order = 10
         spec = system_for(DYCK, Pattern("U"), order)
