@@ -327,8 +327,8 @@ def cmd_oeis(args) -> int:
         )
     try:
         entries = oeis_client.lookup(terms, mode=args.mode, cache_path=args.cache)
-    except oeis_client.NetworkUnavailable as exc:
-        print(f"warning: network unavailable ({exc}); falling back to cache", file=sys.stderr)
+    except (oeis_client.NetworkUnavailable, oeis_client.MalformedResponse) as exc:
+        print(f"warning: OEIS search failed ({exc}); falling back to cache", file=sys.stderr)
         entries = oeis_client.lookup(terms, mode="cache-only", cache_path=args.cache)
     except OSError as exc:  # reading is forgiving, so this is appending new entries
         path = args.cache or oeis_client.default_cache_path()

@@ -87,20 +87,22 @@ def effective_budget(budget: int | None = None) -> int:
 
 
 class _Budget:
-    __slots__ = ("family", "limit", "built")
+    __slots__ = ("family", "limit", "built", "size")
 
     def __init__(self, family: Family, limit: int):
         self.family = family
         self.limit = limit
         self.built = 0
+        self.size = 0  # the size being composed, for the message
 
-    def spend(self, n: int, size: int) -> None:
-        # Charged before the n paths are built, so an exhausted budget
-        # stops the composer before it allocates them.
+    def spend(self, n: int) -> None:
+        # Each batch builder charges the n paths it will build before it
+        # builds them, so an exhausted budget stops the composer before it
+        # allocates them.
         self.built += n
         if self.built > self.limit:
             raise BudgetExceeded(
-                f"path budget exhausted: {self.family.name} paths up to size {size} "
+                f"path budget exhausted: {self.family.name} paths up to size {self.size} "
                 f"need {self.built} paths built, over the limit of {self.limit} "
                 f"(set it with {BUDGET_ENV_VAR} or budget=)"
             )
@@ -124,12 +126,14 @@ def _untag(bucket: bytes) -> list[str]:
     return bucket.translate(_UNTAG).decode().split("|")[1:]
 
 
-def _joins(heads: bytes, wh: int, tails: bytes, wt: int):
+def _joins(heads: bytes, wh: int, tails: bytes, wt: int, budget: _Budget):
     # The products a + b of two buckets of widths wh and wt, each after a
     # separator, in batches of about _BATCH products, with the number each
     # batch holds.  A slice of the side with more members is glued to each
     # member of the other side by one replace.
-    if len(heads) // wh <= len(tails) // wt:
+    nh, nt = len(heads) // wh, len(tails) // wt
+    budget.spend(nh * nt)
+    if nh <= nt:
         inner, wi, skip, outer = tails, wt, 0, heads
     else:  # the slice of heads drops its first separator: a1|a2.. gives |a1 b|a2 b..
         inner, wi, skip, outer = heads, wh, 1, tails
@@ -147,9 +151,10 @@ def _joins(heads: bytes, wh: int, tails: bytes, wt: int):
             yield b"".join(glued), len(run) * size
 
 
-def _arches(alphas: bytes, width: int, end: bytes):
+def _arches(alphas: bytes, width: int, end: bytes, budget: _Budget):
     # The products U a end, batched as by _joins: each slice of a's is
     # raised one ordinate by one translate and closed by one replace.
+    budget.spend(len(alphas) // width)
     for lo in range(0, len(alphas), _BATCH * width):
         raised = alphas[lo + 1 : lo + _BATCH * width].translate(_RAISE)
         yield _SEP + _U + raised.replace(_SEP, end + _SEP + _U) + end, (len(raised) + 1) // width
@@ -265,16 +270,13 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     has_f = "F" in fam.alphabet
     has_l = "L" in fam.alphabet
     width = [fam.step_count(m) + 1 for m in range(size + 1)]  # a member's steps and separator
-
-    def count(levels: dict, m: int) -> int:
-        return sum(map(len, levels.values())) // width[m]
-
     members = [{0: _SEP}]  # size -> level -> bucket of members
     arches: list[dict] = [{}]  # size -> level -> U a D members
     lefts: list[dict] = [{}]  # size -> level -> U a L members
     flats: list[dict] = [{}]  # size -> level -> F g members
     search = _search(pi, size // unit)  # the highest ordinate a path reaches
     for n in range(1, size + 1):
+        budget.size = n
         tally = n == size and not keep_last
         file = _tally if tally else _file
         out: dict = {}
@@ -282,27 +284,22 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
         arch, left, flat = (out, out, out) if tally else ({}, {}, {})
         if n >= unit:
             alphas, wa = members[n - unit], width[n - unit]
-            budget.spend(count(alphas, n - unit), n)
-            for la, bucket in alphas.items():
-                file(arch, _arches(bucket, wa, _D), search, la + 1 if la else 0)
-            if has_l and n > unit:  # a is nonempty
-                budget.spend(count(alphas, n - unit), n)
+            # U a D for any a, and U a L when a is nonempty
+            closes = [(_D, arch), (_L, left)] if has_l and n > unit else [(_D, arch)]
+            for end, into in closes:
                 for la, bucket in alphas.items():
-                    file(left, _arches(bucket, wa, _L), search, la + 1 if la else 0)
+                    file(into, _arches(bucket, wa, end, budget), search, la + 1 if la else 0)
         if has_f:
             gammas = members[n - 1].get(0, b"")
-            budget.spend(len(gammas) // width[n - 1], n)
-            file(flat, _joins(_SEP + _F, 2, gammas, width[n - 1]), search, 0)
+            file(flat, _joins(_SEP + _F, 2, gammas, width[n - 1], budget), search, 0)
         for i in range(unit, n):
             tails = members[n - i]
             for ha, heads in arches[i].items():
                 betas = b"".join([bucket for hb, bucket in tails.items() if hb <= ha])
-                budget.spend(len(heads) // width[i] * (len(betas) // width[n - i]), n)
-                file(out, _joins(heads, width[i], betas, width[n - i]), search, ha)
-            budget.spend(count(lefts[i], i) * count(flats[n - i], n - i), n)
+                file(out, _joins(heads, width[i], betas, width[n - i], budget), search, ha)
             for hl, heads in lefts[i].items():
                 for hf, gs in flats[n - i].items():
-                    file(out, _joins(heads, width[i], gs, width[n - i]), search, max(hl, hf))
+                    file(out, _joins(heads, width[i], gs, width[n - i], budget), search, max(hl, hf))
         if not tally:  # each level's parts become one string, the heads' in out too
             for part in (arch, left, flat):
                 for h, parts in part.items():

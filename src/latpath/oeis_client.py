@@ -169,6 +169,8 @@ def lookup(
     if not isinstance(doc, dict):
         raise MalformedResponse("search response is not an object")
     results = doc.get("results") or []
+    if not isinstance(results, list):
+        raise MalformedResponse("search results are not a list")
     fetched = [_normalize_result(r) for r in results]
     new = [e for e in fetched if e.a_number not in pool]
     if new:

@@ -209,13 +209,9 @@ class Series:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def agrees_with(self, other: "Series", through: int | None = None) -> bool:
-        """Coefficientwise equality up to ``through`` (default: min order)."""
+    def agrees_with(self, other: "Series") -> bool:
+        """Coefficientwise equality through the lower of the two orders."""
         n = min(self.order, other.order)
-        if through is not None:
-            if through > n:
-                raise ValueError("comparison order exceeds a truncation order")
-            n = through
         return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
     def __repr__(self) -> str:

@@ -122,6 +122,24 @@ class TestTable:
         assert len(classes) == len(cli.all_patterns(fam, 4))
         assert cli.verify_table_cells(classes, cap)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda spec: dataclasses.replace(spec, q=spec.q + 1),
+            lambda spec: dataclasses.replace(spec, p=spec.p * Series.x(spec.p.order)),
+        ],
+        ids=["q+1", "p*x"],
+    )
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_wrong_p_or_q_is_caught_by_the_oracle(self, monkeypatch, name, mutate):
+        # the iteration and the quadratic read the same p and q, so
+        # class_gf(check=True) passes a wrong one; the oracle does not
+        real = gf.system_for
+        monkeypatch.setattr(gf, "system_for", lambda *args, **kw: mutate(real(*args, **kw)))
+        fam, cap = FAMILIES[name], cli.ORACLE_CAP[name]
+        classes = [gf.class_gf(fam, pi, cap, check=True) for pi in cli.all_patterns(fam, 2)]
+        assert not cli.verify_table_cells(classes, cap)
+
     @pytest.mark.parametrize("name", sorted(LENGTH_4_DIGESTS))
     def test_length_4_table_digest(self, capsys, name):
         # the whole length-4 table at the default n, pinned byte for byte
@@ -456,6 +474,33 @@ class TestOeis:
         assert calls == ["network", "cache-only"]
         assert "warning" in err.lower()
         assert "no match" in out
+
+    @pytest.mark.parametrize(
+        "transport,reason",
+        [
+            (cli.oeis_client.MalformedResponse("not JSON: Expecting value"), "not JSON"),
+            (["not", "an", "object"], "not an object"),
+        ],
+        ids=["raises", "non-object"],
+    )
+    def test_malformed_answer_degrades_to_cache(
+        self, capsys, monkeypatch, tmp_path, transport, reason
+    ):
+        def fetch(query):
+            if isinstance(transport, Exception):
+                raise transport
+            return transport
+
+        monkeypatch.setattr(cli.oeis_client, "_http_transport", fetch)
+        code, out, err = run(
+            capsys, "oeis", "--mode", "network", "--from-series", "9,9,9,9,9,9",
+            "--cache", str(tmp_path / "cache.jsonl"),
+        )
+        assert code == EXIT_OK
+        assert out == "no match\n"
+        assert err.startswith("warning: OEIS search failed (") and reason in err
+        assert err.endswith("; falling back to cache\n") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unwritable_cache_is_bad_input(self, capsys, monkeypatch, tmp_path):
         # a new search result is appended to the cache, whose parent here

@@ -1,14 +1,17 @@
 """The grammar DP's overlap keys: its anchor levels over whole pattern
-sweeps, pinned from the earlier context-skeleton states, and the number of
-keys it interns, which stays small in the pattern length."""
+sweeps, pinned from the earlier context-skeleton states, the number of
+keys it interns, which stays small in the pattern length, and the claim
+the keys rest on, checked on long random paths: the key of a join or a
+wrap depends only on the keys of its parts."""
 
 import hashlib
+import random
 
 import pytest
 
 from latpath import grammar
 from latpath.cli import all_patterns
-from latpath.paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN
+from latpath.paths import DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, Path
 
 
 def sweep_digest(family, max_len, orders):
@@ -79,3 +82,54 @@ def test_key_counts(monkeypatch, family, pi, order, keys):
     grammar.base_levels.__wrapped__(family, pi, order)
     assert len(built) == 1
     assert len(built[0].ids) == keys
+
+
+def random_path(rng, family, room):
+    """A random path of the family of at most ``room`` steps, composed by
+    random first-return variants: U a D b, F g, U a L and U a L F g."""
+    if room < 1 or rng.random() < 0.05:
+        return ""
+    has_f = "F" in family.alphabet
+    if has_f and rng.random() < 0.3:
+        return "F" + random_path(rng, family, room - 1)
+    if room < 2:
+        return ""
+    a = random_path(rng, family, rng.randint(0, room - 2))
+    room -= len(a) + 2
+    if not a or "L" not in family.alphabet or rng.random() < 0.6:
+        return "U" + a + "D" + random_path(rng, family, room)
+    if has_f and room and rng.random() < 0.5:  # an axis-returning L is followed only by F
+        return "U" + a + "LF" + random_path(rng, family, room - 1)
+    return "U" + a + "L"
+
+
+def random_pattern(rng, family):
+    return "".join(rng.choices(sorted(family.alphabet), k=rng.randint(2, 5)))
+
+
+@pytest.mark.parametrize("family", [DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN], ids=lambda f: f.name)
+def test_keys_of_joins_and_wraps_depend_only_on_the_parts(family):
+    # Far beyond the oracle's sizes: a join h + t, and each wrap U a D,
+    # U a L and U a L F with a nonempty for the L wraps, has the key of
+    # the same join or wrap of its parts' representatives.  The level cap
+    # is lifted, so every key is kept, however high.
+    rng = random.Random(family.name)
+    closes = ["D"]
+    if "L" in family.alphabet:
+        closes += ["L", "LF"] if "F" in family.alphabet else ["L"]
+    for _ in range(120):
+        g = grammar._Grammar(random_pattern(rng, family))
+        g.r = 10**6
+
+        def rep(s):
+            return g.path[g.state(s)]
+
+        for _ in range(40):
+            h, t = (random_path(rng, family, rng.randint(0, 150)) for _ in "ht")
+            Path(h, family), Path(t, family)  # paths of the family
+            # h + t is not a path when h ends with an axis L and t starts
+            # with U, but the argument holds for any two axis-to-axis parts
+            assert g.state(h + t) == g.state(rep(h) + rep(t)), (g.pi, h, t)
+            for close in closes if h else ["D"]:
+                wrapped = g.state("U" + h + close)
+                assert wrapped == g.state("U" + rep(h) + close), (g.pi, h, close)

@@ -167,6 +167,18 @@ class TestNetworkMode:
                 transport=transport,
             )
 
+    @pytest.mark.parametrize(
+        "response", [["not", "an", "object"], {"results": 5}], ids=["non-object", "non-list"]
+    )
+    def test_malformed_body_raises(self, tmp_path, response):
+        with pytest.raises(MalformedResponse):
+            lookup(
+                [4, 8, 15, 16, 23, 42],
+                mode="network",
+                cache_path=tmp_path / "c.jsonl",
+                transport=RecordingTransport(response=response),
+            )
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             lookup([1, 2, 3, 4, 5, 6], mode="offline")

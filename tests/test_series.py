@@ -176,6 +176,28 @@ def exact_and_normal(s):
     )
 
 
+class TestAgreesWith:
+    def test_equal_prefix(self):
+        assert Series([1, 1, 2, 5], 3).agrees_with(Series([1, 1, 2, 5], 3))
+        assert geometric(6).agrees_with(Series([1, 1, 1, 1, 1, 1, 1]))
+
+    def test_one_differing_coefficient(self):
+        a = Series([1, 1, 2, 5, 14], 4)
+        for n in range(5):
+            coeffs = list(a.coeffs)
+            coeffs[n] += 1
+            assert not a.agrees_with(Series(coeffs, 4)), n
+            assert not Series(coeffs, 4).agrees_with(a), n
+
+    def test_operands_of_different_orders(self):
+        # compared through the lower order only, whichever side holds it
+        long, short = Series([1, 1, 2, 5, 14, 42], 5), Series([1, 1, 2], 2)
+        assert long.agrees_with(short) and short.agrees_with(long)
+        assert long.agrees_with(Series([1, 1, 2, 5, 14], 4))
+        assert not long.agrees_with(Series([1, 1, 3], 2))
+        assert not Series([1, 2], 1).agrees_with(long)
+
+
 class TestRepresentation:
     def test_integral_inputs_stay_int(self):
         s = Series([Fraction(3), Fraction(4, 2), 5], 4)
