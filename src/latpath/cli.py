@@ -67,6 +67,7 @@ def parse_pattern(fam: Family, text: str) -> Pattern:
 
 
 def all_patterns(fam: Family, max_len: int) -> list[str]:
+    """Every pattern of length 1..max_len, by length, then by steps."""
     alphabet = sorted(fam.alphabet)
     out = []
     for length in range(1, max_len + 1):
@@ -74,25 +75,19 @@ def all_patterns(fam: Family, max_len: int) -> list[str]:
     return out
 
 
-def pattern_key(pi: str):
-    return (len(pi), pi)
-
-
 # -- table ----------------------------------------------------------------
 
 
 def build_table(fam: Family, max_len: int, n: int) -> tuple[list[dict], list]:
     """One row per group of patterns sharing a coefficient sequence, and
-    the solved classes."""
-    classes = [class_gf(fam, pi, n) for pi in sorted(all_patterns(fam, max_len), key=pattern_key)]
+    the solved classes.  ``all_patterns`` yields the patterns by length,
+    then by steps, so each group's patterns and the rows, ordered by their
+    first pattern, come out in that order too."""
+    classes = [class_gf(fam, pi, n) for pi in all_patterns(fam, max_len)]
     groups: dict = {}
     for gf in classes:
         groups.setdefault(tuple(gf.A.int_coeffs()[1 : n + 1]), []).append(gf.pattern.steps)
-    rows = [
-        {"patterns": sorted(ps, key=pattern_key), "values": list(vals)}
-        for vals, ps in groups.items()
-    ]
-    rows.sort(key=lambda row: pattern_key(row["patterns"][0]))
+    rows = [{"patterns": ps, "values": list(vals)} for vals, ps in groups.items()]
     return rows, classes
 
 
@@ -167,7 +162,6 @@ def cmd_series(args) -> int:
     at_least("--level", args.level, 0)
     pattern = parse_pattern(fam, args.pattern)
     gf = class_gf(fam, pattern, order)
-    levels = {k: gf.per_level[k].int_coeffs() for k in range(len(gf.per_level))}
     if args.level is not None:
         values = gf.level(args.level).int_coeffs()
     else:
@@ -180,7 +174,7 @@ def cmd_series(args) -> int:
             "pattern": pattern.steps,
             "order": order,
             "coefficients": values,
-            "levels": {str(k): v for k, v in levels.items()},
+            "levels": {str(k): level.int_coeffs() for k, level in enumerate(gf.per_level)},
         }
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     elif args.format == "csv":

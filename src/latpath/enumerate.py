@@ -2,25 +2,27 @@
 
 The oracle composes the members of a class size by size from the members
 of smaller sizes, by the first-return decomposition that defines the
-class: a nonempty member is U a D b with h(U a D) >= h(b), F g with
-h(g) = 0, U a L with a nonempty, or U a L F g with a nonempty and
-h(g) = 0, every component a member.  A path with a non-member component
-is never built.  Each size's members are kept bucketed by pattern height,
-so a height condition selects whole buckets.  A member is kept as tagged
-bytes, one byte per step naming the step and the ordinate it starts at, so
-joining two members is a concatenation and raising one under an arch is
-one ``translate``.  A bucket is one byte string, its members back to back,
-each after a separator byte that no tag uses; the members of a size have
-one length, so a bucket's count is its length over that width.  Products
-are built from whole bucket slices in batches of a few thousand, by one
-``replace`` per member of the smaller side, and each product's level is
-read off its whole tagged string.  Each group of products has a floor, a
-level its components already guarantee: an arch holds its inner member
-raised one ordinate, and a product holds its head verbatim.  Each batch
-is searched once for the pattern, after one ``translate`` that untags every
-step high enough to lie in an occurrence above the floor and blanks every
-other step and the separators, so each match is an occurrence above the
-floor and none crosses two products.  A match's first tag gives its level,
+class, every component a member.  A nonempty member is a head followed by
+a tail b, or the whole path U a L with a nonempty.  A head is an arch
+U a D, or a flat head F or U a L F with a nonempty.  Its cap is its own
+level for an arch and 0 for a flat head, and b joins it when h(b) <= cap.
+A path with a non-member component is never built.  Each size's members
+are kept bucketed by pattern height, so a cap selects whole buckets.  A
+member is kept as tagged bytes, one byte per step naming the step and the
+ordinate it starts at, so joining two members is a concatenation and
+raising one under a wrapper is one ``translate``.  A bucket is one byte
+string, its members back to back, each after a separator byte that no tag
+uses; the members of a size have one length, so a bucket's count is its
+length over that width.  Products are built from whole bucket slices in
+batches of a few thousand, by one ``replace`` per member of the smaller
+side, and each product's level is read off its whole tagged string.
+Each group of products has a floor, a level its components already
+guarantee: a wrapper holds its inner member raised one ordinate, and a
+product holds its head verbatim.  Each batch is searched once for the
+pattern, after one ``translate`` that untags every step high enough to
+lie in an occurrence above the floor and blanks every other step and the
+separators, so each match is an occurrence above the floor and none
+crosses two products.  A match's first tag gives its level,
 a product's level is its highest match's, and a product with no match is
 at the floor.  Every occurrence above the floor is found in the whole
 product string, with no upper bound taken from the components, so the
@@ -246,23 +248,21 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     the batch it is built in; this needs a nonempty ``pi``.
 
     An empty ``pi`` imposes no condition: the result is every path of the
-    family, all at level 0.  Each size is built from the kept smaller ones,
-    and each group of products is searched only above the level its
-    components guarantee (its floor):
+    family, all at level 0.  Each size is built from the kept smaller ones.
+    A nonempty member is a head followed by a tail b, or the whole U a L:
 
-    - U a D: a any member; every such arch is a member, the one with b
-      empty.  A bucket of a's at level la > 0 gives the floor la + 1, the
-      level of a's raised occurrence; level 0 holds no occurrence or, for
-      an all-F pattern, one on the axis, so it gives no floor;
-    - U a D b, b nonempty: the arches at level ha >= h(b) times the member
-      b; the head holds its occurrence verbatim, so the floor is ha;
-    - F g (flat-step families): g a member at level 0; no floor;
-    - U a L (left-step families): a any nonempty member; floors as U a D;
-    - U a L F g (skew Motzkin): a U a L arch at level hl times a member F g
-      at level hf; the floor is max(hl, hf).
+    - a head is an arch U a D, or a flat head F or U a L F with a nonempty;
+      each is a member itself (b empty).  Its cap is its own level for an
+      arch and 0 for a flat head, and a tail b joins it when h(b) <= cap;
+    - a wrapper U a D, U a L or U a L F holds a raised one ordinate, so a
+      bucket of a's at level la > 0 gives it the floor la + 1, the level of
+      a's raised occurrence; level 0 holds no occurrence or, for an
+      all-F pattern, one on the axis, so it gives no floor;
+    - a product holds its head verbatim, so its floor is the head's level.
 
-    The size of U..D and U..L is ``Family.unit``.  The U/L overlap rule
-    holds throughout, because an axis-returning L is followed only by F.
+    Each group of products is searched only above its floor.  The size of
+    U..D and U..L is ``Family.unit``.  The U/L overlap rule holds
+    throughout, because an axis-returning L is followed only by F.
     """
     if size == 0 and not keep_last:
         return [{0: 1}]
@@ -271,9 +271,7 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     has_l = "L" in fam.alphabet
     width = [fam.step_count(m) + 1 for m in range(size + 1)]  # a member's steps and separator
     members = [{0: _SEP}]  # size -> level -> bucket of members
-    arches: list[dict] = [{}]  # size -> level -> U a D members
-    lefts: list[dict] = [{}]  # size -> level -> U a L members
-    flats: list[dict] = [{}]  # size -> level -> F g members
+    heads: list[list] = [[]]  # size -> [(level, cap, bucket)]
     search = _search(pi, size // unit)  # the highest ordinate a path reaches
     for n in range(1, size + 1):
         budget.size = n
@@ -281,36 +279,33 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
         file = _tally if tally else _file
         out: dict = {}
         # the heads of the last size head nothing: they go straight to out
-        arch, left, flat = (out, out, out) if tally else ({}, {}, {})
-        if n >= unit:
-            alphas, wa = members[n - unit], width[n - unit]
-            # U a D for any a, and U a L when a is nonempty
-            closes = [(_D, arch), (_L, left)] if has_l and n > unit else [(_D, arch)]
-            for end, into in closes:
-                for la, bucket in alphas.items():
-                    file(into, _arches(bucket, wa, end, budget), search, la + 1 if la else 0)
-        if has_f:
-            gammas = members[n - 1].get(0, b"")
-            file(flat, _joins(_SEP + _F, 2, gammas, width[n - 1], budget), search, 0)
-        for i in range(unit, n):
+        arch, flat = (out, out) if tally else ({}, {})
+        closes = [(_D, n - unit, arch)] if n >= unit else []
+        if has_l and n > unit:  # the wrapped a is nonempty
+            closes.append((_L, n - unit, out))
+        if has_f and has_l and n > unit + 1:
+            closes.append((_L + _F, n - unit - 1, flat))
+        for end, m, into in closes:
+            for la, bucket in members[m].items():
+                file(into, _arches(bucket, width[m], end, budget), search, la + 1 if la else 0)
+        if has_f and n == 1:  # the head F, as F times the empty path
+            file(flat, _joins(_SEP + _F, 2, _SEP, 1, budget), search, 0)
+        for i in range(1, n):
             tails = members[n - i]
-            for ha, heads in arches[i].items():
-                betas = b"".join([bucket for hb, bucket in tails.items() if hb <= ha])
-                file(out, _joins(heads, width[i], betas, width[n - i], budget), search, ha)
-            for hl, heads in lefts[i].items():
-                for hf, gs in flats[n - i].items():
-                    file(out, _joins(heads, width[i], gs, width[n - i], budget), search, max(hl, hf))
+            for h, cap, bucket in heads[i]:
+                betas = b"".join([part for hb, part in tails.items() if hb <= cap])
+                file(out, _joins(bucket, width[i], betas, width[n - i], budget), search, h)
+        row = []
         if not tally:  # each level's parts become one string, the heads' in out too
-            for part in (arch, left, flat):
+            for part, own in ((arch, True), (flat, False)):  # caps: own level, or 0
                 for h, parts in part.items():
-                    part[h] = b"".join(parts)
-                    out.setdefault(h, []).append(part[h])
+                    bucket = b"".join(parts)
+                    row.append((h, h if own else 0, bucket))
+                    out.setdefault(h, []).append(bucket)
             for h, parts in out.items():
                 out[h] = b"".join(parts)
         members.append(out)
-        arches.append(arch)
-        lefts.append(left)
-        flats.append(flat)
+        heads.append(row)
     if not keep_last:  # the kept sizes as counts too
         for n, levels in enumerate(members[:-1]):
             members[n] = {k: len(bucket) // width[n] for k, bucket in levels.items()}

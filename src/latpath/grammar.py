@@ -6,14 +6,13 @@ Every nonempty path of a family is exactly one of
 
 with components a, b, g of the same family, and membership in a class
 (``enumerate.is_member``) is a condition on these components.  Rewritten
-as a head followed by a tail, each variant is one of two joins:
-
-* an arch head ``U a D`` then the tail b, when h(head) >= h(b);
-* a flat head ``F`` or ``U a L F`` then the tail g, when h(g) = 0;
-
-plus the whole path ``U a L``.  Here h is the pattern height of the
-standalone sub-path.  So members can be counted size by size from the
-members of smaller sizes, keeping of each component only its state:
+as a head followed by a tail, each variant but ``U a L`` is one join: a
+head, an arch ``U a D`` or a flat head ``F`` or ``U a L F``, then a tail t
+with h(t) <= cap, where the cap is the head's own level for an arch and
+0 for a flat head; a head is itself a member, with the empty tail.  Here
+h is the pattern height of the standalone sub-path.  So members can be
+counted size by size from the members of smaller sizes, keeping of each
+component only its state:
 
 * its level (its pattern height), whether the pattern occurs in it, and
 * its overlaps with the pattern: which prefixes ``pi[:i]`` it ends with
@@ -31,7 +30,7 @@ the state of a join or a wrap depends only on the states of its parts
 overlap sets of Guibas and Odlyzko), and one path per state, the first
 one seen, represents them all: a join or a wrap is the state of the
 representatives' concatenation with the wrapper steps.
-States are interned to integer ids, and each (kind, head) keeps a join
+States are interned to integer ids, and each (head, cap) keeps a join
 row from tail ids to output ids, so every distinct pair is scanned once.
 A component's occurrences reappear in its parent, one higher inside an
 arch head and at the same height in a tail, so no component's level
@@ -96,12 +95,10 @@ class _Grammar:
             sid = self._wraps[key] = self.state("U" + self.path[a] + close)
         return sid
 
-    def wraps(self, states: dict, close: str, nonempty: bool) -> dict:
+    def wraps(self, states: dict, close: str) -> dict:
         """The paths U a <close> for the members a of one size."""
         out: dict = {}
         for a, n in states.items():
-            if nonempty and not self.path[a]:
-                continue
             sid = self.wrap(a, close)
             if sid >= 0:
                 out[sid] = out.get(sid, 0) + n
@@ -119,30 +116,27 @@ def base_levels(family: Family, pi: str, order: int) -> tuple:
     unit = family.unit
     has_f = "F" in family.alphabet
     has_l = "L" in family.alphabet
-    rows: dict = {}  # (is_arch, head id) -> {tail id: output id, or -1}
-
-    def heads(is_arch: bool, states: dict) -> list:
-        return [(is_arch, h, rows.setdefault((is_arch, h), {}), n) for h, n in states.items()]
-
+    rows: dict = {}  # (head id, cap) -> {tail id: output id, or -1}
     members = [{g.state(""): 1}]
-    heads_of = [[]]  # size -> [(is_arch, head id, join row, count)]
+    heads_of = [[]]  # size -> [(head id, cap, join row, count)]
     for n in range(1, order + 1):
         below = members[n - unit] if n >= unit else {}
-        flat: dict = {}
+        caps = [(h, level[h], c) for h, c in g.wraps(below, "D").items()]  # arches: own level
+        flat: dict = {}  # flat heads, cap 0; the L and LF closes take a nonempty a
         if has_f and n == 1:
             flat = {g.state("F"): 1}
-        elif has_f and has_l and n > unit:
-            flat = g.wraps(members[n - unit - 1], "LF", True)
-        heads_of.append(heads(True, g.wraps(below, "D", False)) + heads(False, flat))
-        out = g.wraps(below, "L", True) if has_l else {}
+        elif has_f and has_l and n > unit + 1:
+            flat = g.wraps(members[n - unit - 1], "LF")
+        caps += [(h, 0, c) for h, c in flat.items()]
+        heads_of.append([(h, cap, rows.setdefault((h, cap), {}), c) for h, cap, c in caps])
+        out = g.wraps(below, "L") if has_l and n > unit else {}
         for k in range(1, n + 1):
             tails = members[n - k]
-            for is_arch, h, row, nh in heads_of[k]:
+            for h, cap, row, nh in heads_of[k]:
                 for t, nt in tails.items():
                     sid = row.get(t)
                     if sid is None:
-                        ok = level[h] >= level[t] if is_arch else level[t] == 0
-                        sid = row[t] = g.join(h, t) if ok else -1
+                        sid = row[t] = g.join(h, t) if level[t] <= cap else -1
                     if sid >= 0:
                         out[sid] = out.get(sid, 0) + nh * nt
         members.append(out)

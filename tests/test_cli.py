@@ -149,6 +149,12 @@ class TestTable:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == LENGTH_4_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_patterns_come_by_length_then_steps(self, name):
+        # build_table relies on this order for its rows and their patterns
+        patterns = all_patterns(FAMILIES[name], 3)
+        assert patterns == sorted(patterns, key=lambda pi: (len(pi), pi))
+
 
 class TestSeries:
     def test_bfile_total_series(self, capsys):

@@ -1,10 +1,11 @@
 import re
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
 from latpath import enumerate as brute
-from latpath.cli import all_patterns
+from latpath.cli import ORACLE_CAP, all_patterns
 from latpath.enumerate import (
     BudgetExceeded,
     base_series,
@@ -16,7 +17,8 @@ from latpath.enumerate import (
     precompute_base,
 )
 from latpath.paths import (
-    DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, STEP_KINDS, Path, Pattern, pattern_height, profile,
+    DYCK, FAMILIES, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN, STEP_KINDS, Path, Pattern, pattern_height,
+    profile,
 )
 from latpath.series import rational
 from reference_membership import reference_is_member
@@ -380,6 +382,19 @@ class TestBudgetOutcomes:
                 named = int(re.search(r"up to size (\d+) need", str(exc)).group(1))
             assert named == expected, budget
 
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_each_member_is_charged_once_at_its_size(self, name):
+        # built(n), the members of sizes 1..n (the empty path is free), is
+        # what the sizes up to n cost: one path less raises at size n, and
+        # built(max_size) completes the call
+        fam, max_size = FAMILIES[name], ORACLE_CAP[name]
+        for pi in all_patterns(fam, 2):
+            built = list(accumulate(count_class(fam, pi, max_size).totals()))
+            for n, paths in enumerate(built, 1):
+                with pytest.raises(BudgetExceeded, match=f"up to size {n} need"):
+                    count_class(fam, pi, max_size, budget=paths - 1)
+            count_class(fam, pi, max_size, budget=built[-1])
+
 
 class TestCountClassMemory:
     @pytest.mark.parametrize(
@@ -408,7 +423,7 @@ class TestCountClassMemory:
     def test_peak_is_near_the_kept_steps(self, fam, pi, max_size):
         # Each size's bucket is one byte string, a separator before each
         # member, so the smaller sizes kept cost about one byte per step,
-        # the arches' held twice (as heads and as members), with no object
+        # the heads held twice (as heads and as members), with no object
         # per member.  One bytes object per member (a header of about 33
         # bytes and a list slot) put this peak at 3.9-4.7 times the steps.
         counts = count_class(fam, pi, max_size).counts
