@@ -53,20 +53,13 @@ class PatternPair:
         return cls(pi, sigma)
 
 
-def _axis_cuts(s: str) -> list[int]:
-    """Positions where a U/D/F walk visits its lowest ordinate; consecutive
-    cuts bound its axis components (F or an arch)."""
-    prof = profile(s)
-    low = min(prof)
-    return [i for i, y in enumerate(prof) if y == low]
-
-
 def _holds_component(pi: str) -> bool:
     """True iff some factor pi[i:j] with 0 < i < j < len(pi) is an axis
     component at pi's lowest ordinate, so that an occurrence touching the
-    x-axis can contain a whole component of the path."""
-    cuts = _axis_cuts(pi)
-    return any(0 < i and j < len(pi) for i, j in zip(cuts, cuts[1:]))
+    x-axis can contain a whole component of the path: pi's profile
+    touches its lowest ordinate at two inner points."""
+    prof = profile(pi)
+    return prof[1:-1].count(min(prof)) >= 2
 
 
 def _phi(s: str, prof, pi: str, mp: int, lo: int) -> str:

@@ -211,7 +211,8 @@ def _mark(batch: bytes, count: int, search: tuple, floor: int) -> bytearray | No
 def _file(into: dict, batches, search, floor: int) -> None:
     # Add the products of the batches to the level buckets as parts, which
     # _compose joins.  A product with no hit above the floor, or no pattern
-    # (search None), is at the floor; a batch is split only over two levels.
+    # (search None), is at the floor.  A batch is split only when its
+    # products lie at two or more levels.
     for batch, count in batches:
         mark = _mark(batch, count, search, floor) if search else None
         if mark is None:
@@ -248,8 +249,9 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
     the batch it is built in; this needs a nonempty ``pi``.
 
     An empty ``pi`` imposes no condition: the result is every path of the
-    family, all at level 0.  Each size is built from the kept smaller ones.
-    A nonempty member is a head followed by a tail b, or the whole U a L:
+    family, all at level 0.  Each size is built from the kept smaller ones,
+    and the empty path is filed at size 0 like any product.  A nonempty
+    member is a head followed by a tail b, or the whole U a L:
 
     - a head is an arch U a D, or a flat head F or U a L F with a nonempty;
       each is a member itself (b empty).  Its cap is its own level for an
@@ -260,26 +262,28 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
       all-F pattern, one on the axis, so it gives no floor;
     - a product holds its head verbatim, so its floor is the head's level.
 
-    Each group of products is searched only above its floor.  The size of
-    U..D and U..L is ``Family.unit``.  The U/L overlap rule holds
-    throughout, because an axis-returning L is followed only by F.
+    The heads of the last size head nothing, so in both modes they go
+    straight to its members.  Each group of products is searched only
+    above its floor.  The size of U..D and U..L is ``Family.unit``.  The
+    U/L overlap rule holds throughout, because an axis-returning L is
+    followed only by F.
     """
-    if size == 0 and not keep_last:
-        return [{0: 1}]
     unit = fam.unit
     has_f = "F" in fam.alphabet
     has_l = "L" in fam.alphabet
     width = [fam.step_count(m) + 1 for m in range(size + 1)]  # a member's steps and separator
-    members = [{0: _SEP}]  # size -> level -> bucket of members
-    heads: list[list] = [[]]  # size -> [(level, cap, bucket)]
+    members: list[dict] = []  # size -> level -> bucket of members
+    heads: list[list] = []  # size -> [(level, cap, bucket)]
     search = _search(pi, size // unit)  # the highest ordinate a path reaches
-    for n in range(1, size + 1):
+    for n in range(size + 1):
         budget.size = n
         tally = n == size and not keep_last
         file = _tally if tally else _file
         out: dict = {}
         # the heads of the last size head nothing: they go straight to out
-        arch, flat = (out, out) if tally else ({}, {})
+        arch, flat = (out, out) if n == size else ({}, {})
+        if n == 0:  # the empty path, one product that no builder charges
+            file(out, [(_SEP, 1)], search, 0)
         closes = [(_D, n - unit, arch)] if n >= unit else []
         if has_l and n > unit:  # the wrapped a is nonempty
             closes.append((_L, n - unit, out))
@@ -296,12 +300,13 @@ def _compose(fam: Family, pi: str, size: int, budget: _Budget, keep_last: bool) 
                 betas = b"".join([part for hb, part in tails.items() if hb <= cap])
                 file(out, _joins(bucket, width[i], betas, width[n - i], budget), search, h)
         row = []
-        if not tally:  # each level's parts become one string, the heads' in out too
+        if n < size:  # each level's heads become one string, in out too
             for part, own in ((arch, True), (flat, False)):  # caps: own level, or 0
                 for h, parts in part.items():
                     bucket = b"".join(parts)
                     row.append((h, h if own else 0, bucket))
                     out.setdefault(h, []).append(bucket)
+        if not tally:  # each level's parts become one string
             for h, parts in out.items():
                 out[h] = b"".join(parts)
         members.append(out)
@@ -410,8 +415,8 @@ class ClassCountTable:
     def total(self, n: int) -> int:
         return sum(c for (m, _k), c in self.counts.items() if m == n)
 
-    def totals(self, start: int = 1) -> list[int]:
-        return [self.total(n) for n in range(start, self.max_size + 1)]
+    def totals(self) -> list[int]:
+        return [self.total(n) for n in range(1, self.max_size + 1)]
 
     def level(self, k: int) -> list[int]:
         return [self.counts.get((n, k), 0) for n in range(self.max_size + 1)]

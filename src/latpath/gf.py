@@ -22,8 +22,8 @@ class GFError(Exception):
 
 
 class NoConvergence(GFError):
-    """The level iteration did not terminate, or the quadratic's root is not
-    determined order by order (d(0) != 0)."""
+    """The quadratic's root is not determined order by order (d(0) != 0);
+    raised by ``solve_quadratic``."""
 
 
 class NonUnitLinearCoefficient(GFError):
@@ -137,9 +137,9 @@ def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
     coefficients of A_k below n: each level is solved online, one
     coefficient at a time and with no division, by adding every new
     coefficient into t as soon as it is known (the naive online product
-    of van der Hoeven, "Relax, but don't be too lazy", 2002).  The
-    valuation of A_k grows strictly, so the loop terminates; a defensive
-    cap raises NoConvergence.
+    of van der Hoeven, "Relax, but don't be too lazy", 2002).  So the
+    valuation of A_k grows strictly, and the loop ends within N + 1
+    levels and raises nothing.
     """
     p = spec.p.truncate(min(spec.p.order, order))
     q = spec.q.truncate(min(spec.q.order, order))
@@ -153,10 +153,7 @@ def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
     p_terms = [(j, c) for j, c in enumerate(p.coeffs) if c]
     t = [qn + bn for qn, bn in zip(q.coeffs[: N + 1], B.coeffs)]
     a = bases[-1].coeffs
-    k = spec.r
     while True:
-        if k > order + spec.r + 2:
-            raise NoConvergence(f"levels still nonzero after k={k}")
         P = [0] * (N + 1)
         for j, pj in p_terms:
             for i in range(N + 1 - j):
@@ -169,7 +166,6 @@ def iterate_system(spec: SystemSpec, order: int) -> ClassGF:
         if not any(a):
             break
         per_level.append(Series(a))
-        k += 1
     if len(per_level) > len(bases):  # else B keeps the bases' order
         B = Series(t) - q
     return ClassGF(None, None, spec.u, spec.v, B, tuple(per_level), r=spec.r)

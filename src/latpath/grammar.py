@@ -83,23 +83,13 @@ class _Grammar:
             self.level.append(level)
         return sid
 
-    def join(self, h: int, t: int) -> int:
-        """The id of head h followed by tail t."""
-        return self.state(self.path[h] + self.path[t])
-
-    def wrap(self, a: int, close: str) -> int:
-        """The id of U a <close>."""
-        key = (a, close)
-        sid = self._wraps.get(key)
-        if sid is None:
-            sid = self._wraps[key] = self.state("U" + self.path[a] + close)
-        return sid
-
     def wraps(self, states: dict, close: str) -> dict:
         """The paths U a <close> for the members a of one size."""
         out: dict = {}
         for a, n in states.items():
-            sid = self.wrap(a, close)
+            sid = self._wraps.get((a, close))
+            if sid is None:
+                sid = self._wraps[a, close] = self.state("U" + self.path[a] + close)
             if sid >= 0:
                 out[sid] = out.get(sid, 0) + n
         return out
@@ -112,7 +102,7 @@ def base_levels(family: Family, pi: str, order: int) -> tuple:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     g = _Grammar(pi)
-    level = g.level
+    path, level = g.path, g.level
     unit = family.unit
     has_f = "F" in family.alphabet
     has_l = "L" in family.alphabet
@@ -136,7 +126,7 @@ def base_levels(family: Family, pi: str, order: int) -> tuple:
                 for t, nt in tails.items():
                     sid = row.get(t)
                     if sid is None:
-                        sid = row[t] = g.join(h, t) if level[t] <= cap else -1
+                        sid = row[t] = g.state(path[h] + path[t]) if level[t] <= cap else -1
                     if sid >= 0:
                         out[sid] = out.get(sid, 0) + nh * nt
         members.append(out)

@@ -85,8 +85,8 @@ class Series:
         return cls([0, 1], order)
 
     @classmethod
-    def monomial(cls, k: int, order: int, c: Scalar = 1) -> "Series":
-        return cls([0] * k + [c], order)
+    def monomial(cls, k: int, order: int) -> "Series":
+        return cls([0] * k + [1], order)
 
     # -- basic inspection --------------------------------------------
 

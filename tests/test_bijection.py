@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from latpath.bijection import (
-    DomainError, PatternPair, _images, _phi, phi, verify_reversed_complement_symmetry,
+    DomainError, PatternPair, _holds_component, _images, _phi, phi,
+    verify_reversed_complement_symmetry,
 )
 from latpath.cli import all_patterns
 from latpath.enumerate import count_class, generate_paths, member_paths, members_by_level
@@ -16,6 +17,7 @@ from latpath.paths import (
     Pattern,
     _prefix_extrema,
     pattern_height,
+    profile,
     reversed_complement,
 )
 from reference_membership import reference_is_member
@@ -106,6 +108,21 @@ class TestPhi:
             phi(Path("UDUD", DYCK), Pattern("DUDU"))
         with pytest.raises(DomainError):
             phi(Path("UDFF", MOTZKIN), Pattern("DFF"))
+
+    def test_rejects_patterns_with_l_on_a_dyck_path(self):
+        with pytest.raises(DomainError, match="containing L"):
+            phi(Path("UUDD", DYCK), Pattern("UL"))
+
+    def test_inner_axis_components(self):
+        # pi holds an inner axis component exactly when two consecutive
+        # visits of its lowest ordinate both lie strictly inside it
+        for length in range(1, 7):
+            for steps in itertools.product("DFU", repeat=length):
+                pi = "".join(steps)
+                prof = profile(pi)
+                cuts = [i for i, y in enumerate(prof) if y == min(prof)]
+                inner = any(0 < i and j < length for i, j in zip(cuts, cuts[1:]))
+                assert _holds_component(pi) == inner, pi
 
 
 class TestImages:

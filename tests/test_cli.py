@@ -593,6 +593,18 @@ class TestBadInput:
         assert "--budget" in err
 
 
+class TestInconsistentExit:
+    def test_consistency_failure_is_one_error_line_with_exit_3(self, capsys, monkeypatch):
+        def disagree(*args, **kwargs):
+            raise gf.ConsistencyFailure("iteration and quadratic disagree for dyck/UUD")
+
+        monkeypatch.setattr(cli, "class_gf", disagree)
+        code, out, err = run(capsys, "series", "--family", "dyck", "--pattern", "UUD")
+        assert code == cli.EXIT_INCONSISTENT == 3
+        assert out == ""
+        assert err == "error: iteration and quadratic disagree for dyck/UUD\n"
+
+
 class TestUsageErrors:
     """argparse's usage errors exit 4 like any bad input, not 2."""
 

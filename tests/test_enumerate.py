@@ -439,6 +439,23 @@ class TestCountClassMemory:
         assert peak < 3 * steps
 
 
+class TestSizeZero:
+    """Size 0 holds the empty path alone, at level 0, with or without a
+    pattern; no builder charges it, so it fits a budget of 0."""
+
+    PATTERNS = {"dyck": "UDU", "motzkin": "FFD", "skew-dyck": "DDL", "skew-motzkin": "UFL"}
+
+    @pytest.mark.parametrize("budget", [None, 0])
+    @pytest.mark.parametrize("fam", FAMILIES.values(), ids=lambda f: f.name)
+    def test_the_empty_path_alone(self, fam, budget):
+        pi = self.PATTERNS[fam.name]
+        for pattern in ("", pi):
+            assert members_by_level(fam, pattern, 0, budget=budget) == [{0: [""]}], pattern
+        assert generate_paths(fam, 0, budget=budget) == [Path("", fam)]
+        assert member_paths(fam, pi, 0, budget=budget) == [Path("", fam)]
+        assert count_class(fam, pi, 0, budget=budget).counts == {(0, 0): 1}
+
+
 class TestNegativeSizes:
     def test_member_paths(self):
         with pytest.raises(ValueError):

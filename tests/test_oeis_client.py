@@ -10,8 +10,10 @@ from latpath.oeis_client import (
     NetworkUnavailable,
     OeisEntry,
     _http_transport,
+    _normalize_result,
     append_cache,
     contains_run,
+    default_cache_path,
     load_fixtures,
     lookup,
     read_cache,
@@ -89,6 +91,21 @@ class TestCacheOnlyMode:
         path = tmp_path / "c.jsonl"
         path.write_text('{"a_number": "A000001"\nnot json\n')
         assert read_cache(path) == []
+
+    def test_torn_line_among_whole_ones(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        append_cache(path, [OeisEntry("A000001", (1, 2, 3), "first")])
+        with path.open("a") as fh:
+            fh.write('{"a_number": "A000002", "ter\n\n')
+        append_cache(path, [OeisEntry("A000003", (4, 5, 6), "third")])
+        assert read_cache(path) == [
+            OeisEntry("A000001", (1, 2, 3), "first"),
+            OeisEntry("A000003", (4, 5, 6), "third"),
+        ]
+
+    def test_cache_path_from_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LATPATH_OEIS_CACHE", str(tmp_path / "mine.jsonl"))
+        assert default_cache_path() == tmp_path / "mine.jsonl"
 
 
 class TestNetworkMode:
@@ -182,6 +199,12 @@ class TestNetworkMode:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             lookup([1, 2, 3, 4, 5, 6], mode="offline")
+
+
+class TestNormalizeResult:
+    def test_data_as_a_list_of_ints(self):
+        entry = _normalize_result({"number": 45, "data": [0, 1, 1, 2, 3, 5], "name": "Fib"})
+        assert entry == OeisEntry("A000045", (0, 1, 1, 2, 3, 5), "Fib")
 
 
 class TestEntryValidation:
