@@ -63,13 +63,10 @@ def _holds_component(pi: str) -> bool:
 
 
 def _phi(s: str, prof, pi: str, mp: int, lo: int) -> str:
-    # The image of the suffix s[lo:], which starts on the axis, on the
-    # ordinates prof of s; prof may be None, and is then computed only if
-    # the suffix needs more than its reversed complement.
+    # The image of the suffix s[lo:], which starts on the axis; prof is the
+    # profile of the whole of s.
     if not pi.strip("F") or s.find(pi, lo) < 0:  # all-F pi, or pi absent
         return s[lo:][::-1].translate(_COMPLEMENT)
-    if prof is None:
-        prof = profile(s)
     variant, j = _first_return(s, prof, lo, len(s))
     if variant == "UaDb":
         if _pattern_height(s, prof, pi, mp, lo, j) > 0:
@@ -101,7 +98,7 @@ def _images(members: list[str], pi: str, mp: int) -> list[str]:
         free = [s for s in members if pi not in s]
         rest = [s for s in members if pi in s]
     images = "|".join(free)[::-1].translate(_COMPLEMENT).split("|") if free else []
-    return images + [_phi(s, None, pi, mp, 0) for s in rest]
+    return images + [_phi(s, profile(s), pi, mp, 0) for s in rest]
 
 
 def phi(path: Path, pattern: Pattern | str) -> Path:

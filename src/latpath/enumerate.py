@@ -165,21 +165,20 @@ def _arches(alphas: bytes, width: int, end: bytes, budget: _Budget):
 def _search(pi: str, highest: int) -> tuple | None:
     # pi as bytes, its highest point mp above its start, and for each floor
     # f up to highest the table that untags every step starting at or above
-    # T(f) = f + 1 - mp + s_min and blanks to "|" every other step and every
-    # letter pi lacks (s_min: the lowest start ordinate of a step of pi,
-    # relative to its start); None when there is no pattern.  An occurrence
-    # starting at ordinate y is above the floor, at level y + mp > f,
-    # exactly when its lowest step starts at or above T(f).
+    # T(f) = f + 1 - mp + s_min and blanks to "|" every other step (s_min:
+    # the lowest start ordinate of a step of pi, relative to its start);
+    # None when there is no pattern.  An occurrence starting at ordinate y
+    # is above the floor, at level y + mp > f, exactly when its lowest step
+    # starts at or above T(f).  The floor alone decides what is blanked: a
+    # letter pi lacks is left as it is, since no match of pi can hold it.
     if not pi:
         return None
     mp = _prefix_extrema(pi)[0]
     low = min(profile(pi)[:-1])
-    lacking = "".join(ch for ch in STEP_KINDS if ch not in pi).encode()
-    letters = _UNTAG.translate(bytes.maketrans(lacking, b"|" * len(lacking)))
     tables = []
     for f in range(highest + 1):
         t = 4 * max(f + 1 - mp + low, 0)
-        tables.append(b"|" * t + letters[t:])
+        tables.append(b"|" * t + _UNTAG[t:])
     return pi.encode(), mp, tables
 
 

@@ -57,13 +57,14 @@ def contains_run(haystack, needle) -> bool:
     return False
 
 
+def _entry(doc) -> OeisEntry:
+    # A local record, from the fixtures or the cache: {a_number, terms, name}.
+    return OeisEntry(doc["a_number"], tuple(doc["terms"]), doc.get("name", ""))
+
+
 def load_fixtures() -> list[OeisEntry]:
     raw = resources.files("latpath").joinpath("data/oeis_fixtures.json").read_text()
-    doc = json.loads(raw)
-    return [
-        OeisEntry(e["a_number"], tuple(e["terms"]), e.get("name", ""))
-        for e in doc["entries"]
-    ]
+    return [_entry(e) for e in json.loads(raw)["entries"]]
 
 
 def default_cache_path() -> Path:
@@ -84,10 +85,7 @@ def read_cache(path: Path) -> list[OeisEntry]:
         if not line:
             continue
         try:
-            doc = json.loads(line)
-            entries.append(
-                OeisEntry(doc["a_number"], tuple(doc["terms"]), doc.get("name", ""))
-            )
+            entries.append(_entry(json.loads(line)))
         except (ValueError, KeyError, TypeError):
             continue  # a torn line never poisons the cache
     return entries

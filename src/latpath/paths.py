@@ -125,12 +125,6 @@ class Path:
     def size(self) -> int:
         return self.family.size_of(self.steps)
 
-    def height(self) -> int:
-        return height(self)
-
-    def pattern_height(self, pattern) -> int:
-        return pattern_height(self, pattern)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -154,9 +148,6 @@ class Pattern:
     @property
     def amplitude(self) -> int:
         return amplitude(self)
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
     def __repr__(self) -> str:
         return f"Pattern({self.steps!r})"

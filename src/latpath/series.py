@@ -187,18 +187,6 @@ class Series:
                 base = base * base
         return result
 
-    def __truediv__(self, other) -> "Series":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return div(self, rhs)
-
-    def __rtruediv__(self, other) -> "Series":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return div(rhs, self)
-
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other) -> bool:

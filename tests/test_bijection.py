@@ -70,6 +70,12 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(Path("UUDL", SKEW_DYCK), Pattern("U"))
 
+    def test_inner_map_rejects_a_left_arch(self):
+        # phi refuses L families up front; _phi itself refuses a suffix whose
+        # first component is U a L
+        with pytest.raises(DomainError, match="flat-step-free arch families only"):
+            _phi("UUDL", profile("UUDL"), "UD", 1, 0)
+
     def test_exhaustive_bijection_uu_semilength4(self):
         pi, sigma = Pattern("UU"), Pattern("DD")
         dom = level_members(DYCK, pi, 4, {0, 2})
@@ -131,7 +137,7 @@ class TestImages:
     @staticmethod
     def assert_like_phi(members, pi):
         mp, _ = _prefix_extrema(pi)
-        expected = sorted(_phi(s, None, pi, mp, 0) for s in members)
+        expected = sorted(_phi(s, profile(s), pi, mp, 0) for s in members)
         assert sorted(_images(members, pi, mp)) == expected
 
     @pytest.mark.parametrize(

@@ -383,7 +383,7 @@ class TestVerifyCatchesBrokenMap:
                 free = [s for s in members if pi not in s]
                 rest = [s for s in members if pi in s]
             images = "|".join(free)[::-1].split("|") if free else []
-            return images + [bijection._phi(s, None, pi, mp, 0) for s in rest]
+            return images + [bijection._phi(s, bijection.profile(s), pi, mp, 0) for s in rest]
 
         monkeypatch.setattr(bijection, "_images", reversing)
         self.run_full(capsys)

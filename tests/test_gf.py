@@ -59,6 +59,12 @@ class TestIterateSystem:
         with pytest.raises(ValueError):
             SystemSpec(Series.one(5), Series.zero(5), 0, (Series.one(5),))
 
+    def test_rejects_negative_anchor_and_wrong_base_count(self):
+        with pytest.raises(ValueError, match="^r must be >= 0$"):
+            SystemSpec(Series.x(5), Series.zero(5), -1, ())
+        with pytest.raises(ValueError, match="^expected 2 base functions$"):
+            SystemSpec(Series.x(5), Series.zero(5), 1, (Series.one(5),))
+
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="order must be >= 0, got -1"):
             iterate_system(arch_prototype(4), -1)

@@ -121,6 +121,10 @@ class TestFamily:
         with pytest.raises(ValueError, match="outside UDFL"):
             Family("x", frozenset("UDX"), False)
 
+    def test_odd_step_count_in_a_semilength_family(self):
+        with pytest.raises(ValueError, match="^odd step count 3 in a dyck path$"):
+            DYCK.size_of("UDU")
+
     def test_unit_is_derived_not_a_field(self):
         # equality and hashing see only name, alphabet and semilength
         twin = Family("dyck", frozenset("UD"), semilength=True)

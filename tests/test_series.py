@@ -49,6 +49,23 @@ class TestRingOps:
         assert (Series.x(5) ** 3).valuation() == 3
         assert (Series([2], 2) ** 0) == Series.one(2)
 
+    def test_rejects_negative_power(self):
+        with pytest.raises(ValueError, match="^only non-negative integer powers are supported$"):
+            Series.x(3) ** -1
+
+    def test_other_operand_types_are_not_implemented(self):
+        # __add__ and __mul__ return NotImplemented, so Python raises TypeError
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            Series.x(3) + "a"
+        with pytest.raises(TypeError, match="can't multiply sequence by non-int of type 'Series'"):
+            Series.x(3) * "a"
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            Series([1], -1)
+        with pytest.raises(ValueError, match="^empty coefficient list and no order given$"):
+            Series([])
+
     def test_truncate(self):
         s = Series([1, 2, 3, 4], 3)
         assert s.truncate(1).coeffs == (1, 2)
@@ -86,6 +103,10 @@ class TestDiv:
 
     def test_zero_numerator(self):
         assert div(Series.zero(5), Series([0, 3], 5)).is_zero()
+
+    def test_rational_by_the_zero_polynomial(self):
+        with pytest.raises(DivisionByNonUnit, match="^division by the zero polynomial$"):
+            rational([1], [0, 0], 5)
 
 
 class TestSqrt:
