@@ -136,8 +136,6 @@ def verify_reversed_complement_symmetry(family: Family, pattern: Pattern | str, 
     """Series equality between the classes of a pattern and its reversed
     complement, coefficientwise to the given order."""
     pattern = _as_pattern(pattern)
-    if "L" in pattern.steps:
-        raise ValueError("reversed complement is defined for L-free patterns only")
     sigma = reversed_complement(pattern)
     lhs = class_gf(family, pattern, order)
     rhs = class_gf(family, sigma, order)

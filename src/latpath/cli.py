@@ -17,8 +17,7 @@ import sys
 from . import bijection, enumerate as brute, oeis_client
 from .gf import ConsistencyFailure, class_gf, default_order, moebius_step, residual, system_for
 from .paths import (
-    FAMILIES, Family, Pattern, _check_alphabet, _prefix_extrema, family as family_by_name,
-    reversed_complement,
+    FAMILIES, Family, Pattern, _check_alphabet, _prefix_extrema, reversed_complement,
 )
 from .series import Series
 
@@ -126,7 +125,7 @@ def render_table(rows: list[dict], fam: Family, n: int, fmt: str) -> str:
 
 
 def cmd_table(args) -> int:
-    fam = family_by_name(args.family)
+    fam = FAMILIES[args.family]
     n = at_least("--n", args.n, 0)
     if n is None:
         n = DEFAULT_TABLE_N[fam.name]
@@ -155,7 +154,7 @@ def render_bfile(values: list[int]) -> str:
 
 
 def cmd_series(args) -> int:
-    fam = family_by_name(args.family)
+    fam = FAMILIES[args.family]
     order = at_least("--order", args.order, 0)
     if order is None:
         order = default_order(fam)
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument(
         "--verify-level", choices=["none", "cross"], default="none",
-        help="cross: recheck every printed cell against the exhaustive oracle",
+        help="cross: recheck the printed cells against the exhaustive oracle, "
+        "up to the family's oracle size cap",
     )
     p_table.add_argument(
         "--budget", type=int, default=None,
@@ -402,19 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {
+    brute.BudgetExceeded: EXIT_BUDGET,
+    ConsistencyFailure: EXIT_INCONSISTENT,
+    BadInput: EXIT_BAD_INPUT,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except brute.BudgetExceeded as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ConsistencyFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except BadInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -143,7 +143,7 @@ def _joins(heads: bytes, wh: int, tails: bytes, wt: int, budget: _Budget):
     for lo in range(0, len(inner), _BATCH * wi):
         chunk = inner[lo + skip : lo + _BATCH * wi]
         size = (len(chunk) + skip) // wi
-        step = max(1, _BATCH // size)
+        step = _BATCH // size
         for at in range(0, len(outer), step):
             run = outer[at : at + step]
             if skip:

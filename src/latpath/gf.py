@@ -114,8 +114,9 @@ def moebius_coeffs(p: Series, q: Series, u: Series, v: Series) -> MoebiusCoeffs:
 
     With s = q + u + v they are a = p^2 q v s - p q u - u - v,
     b = -p (p q + 1) s, c = -p^2 v s - p q - p v - 1 and d = p^2 s, formed
-    from eight shared products.  ``Series.__mul__`` skips the zero
-    coefficients of its left operand only, so the sparser factor goes left.
+    from eight shared products.  ``Series.__mul__`` skips a zero of its left
+    operand with its whole inner loop and a zero of its right operand with
+    one multiply, so the sparser factor goes left.
     """
     s = q + u + v
     pq = p * q
@@ -235,12 +236,9 @@ def dyck_closed_form(
     return quadratic_root(moebius_coeffs(p, Series.zero(order), u, v))
 
 
-def skew_closed_form(
-    u: Series, v: Series, order: int, var: Series | None = None
-) -> Series:
-    """Closed form for the arch-or-left decomposition (p = var, q = 1)."""
-    p = Series.x(order) if var is None else var
-    return quadratic_root(moebius_coeffs(p, Series.one(order), u, v))
+def skew_closed_form(u: Series, v: Series, order: int) -> Series:
+    """Closed form for the arch-or-left decomposition (p = x, q = 1)."""
+    return quadratic_root(moebius_coeffs(Series.x(order), Series.one(order), u, v))
 
 
 # -- closed-form base functions for two worked patterns -------------------

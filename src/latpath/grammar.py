@@ -30,8 +30,9 @@ the state of a join or a wrap depends only on the states of its parts
 overlap sets of Guibas and Odlyzko), and one path per state, the first
 one seen, represents them all: a join or a wrap is the state of the
 representatives' concatenation with the wrapper steps.
-States are interned to integer ids, and each (head, cap) keeps a join
-row from tail ids to output ids, so every distinct pair is scanned once.
+States are interned to integer ids.  Each (head, cap) keeps a join row
+from tail ids to output ids, and each close a wrap row from member ids to
+the ids of the wraps, so every distinct pair is scanned once.
 A component's occurrences reappear in its parent, one higher inside an
 arch head and at the same height in a tail, so no component's level
 exceeds its parent's: dropping every state above the anchor level r is
@@ -63,7 +64,6 @@ class _Grammar:
         self.ids: dict = {}  # key -> id
         self.path: list = []  # id -> the first path seen with the key
         self.level: list = []  # id -> pattern height
-        self._wraps: dict = {}  # (id, close) -> id
 
     def state(self, s: str) -> int:
         """The id of the path s; -1 when it is above the anchor level."""
@@ -83,17 +83,6 @@ class _Grammar:
             self.level.append(level)
         return sid
 
-    def wraps(self, states: dict, close: str) -> dict:
-        """The paths U a <close> for the members a of one size."""
-        out: dict = {}
-        for a, n in states.items():
-            sid = self._wraps.get((a, close))
-            if sid is None:
-                sid = self._wraps[a, close] = self.state("U" + self.path[a] + close)
-            if sid >= 0:
-                out[sid] = out.get(sid, 0) + n
-        return out
-
 
 @lru_cache(maxsize=256)
 def base_levels(family: Family, pi: str, order: int) -> tuple:
@@ -106,20 +95,33 @@ def base_levels(family: Family, pi: str, order: int) -> tuple:
     unit = family.unit
     has_f = "F" in family.alphabet
     has_l = "L" in family.alphabet
-    rows: dict = {}  # (head id, cap) -> {tail id: output id, or -1}
+    rows: dict = {}  # (head id, cap) or close -> {tail or member id: output id, or -1}
+
+    def wraps(states: dict, close: str) -> dict:
+        # the paths U a <close> for the members a of one size
+        row = rows.setdefault(close, {})
+        out: dict = {}
+        for a, n in states.items():
+            sid = row.get(a)
+            if sid is None:
+                sid = row[a] = g.state("U" + path[a] + close)
+            if sid >= 0:
+                out[sid] = out.get(sid, 0) + n
+        return out
+
     members = [{g.state(""): 1}]
     heads_of = [[]]  # size -> [(head id, cap, join row, count)]
     for n in range(1, order + 1):
         below = members[n - unit] if n >= unit else {}
-        caps = [(h, level[h], c) for h, c in g.wraps(below, "D").items()]  # arches: own level
+        caps = [(h, level[h], c) for h, c in wraps(below, "D").items()]  # arches: own level
         flat: dict = {}  # flat heads, cap 0; the L and LF closes take a nonempty a
         if has_f and n == 1:
             flat = {g.state("F"): 1}
         elif has_f and has_l and n > unit + 1:
-            flat = g.wraps(members[n - unit - 1], "LF")
+            flat = wraps(members[n - unit - 1], "LF")
         caps += [(h, 0, c) for h, c in flat.items()]
         heads_of.append([(h, cap, rows.setdefault((h, cap), {}), c) for h, cap, c in caps])
-        out = g.wraps(below, "L") if has_l and n > unit else {}
+        out = wraps(below, "L") if has_l and n > unit else {}
         for k in range(1, n + 1):
             tails = members[n - k]
             for h, cap, row, nh in heads_of[k]:

@@ -95,12 +95,11 @@ def validate(steps, fam: Family) -> bool:
     traversals the walk closes a loop; D and F raise x - y and no step
     lowers it, so the run from the one traversal to the other holds only
     U and L steps, begins with one kind and ends with the other, and so
-    has a U next to an L.
+    has a U next to an L.  A semilength family has no F, so a walk of
+    its steps that ends at ordinate 0 has an even length.
     """
     s = _steps_of(steps)
     if not set(s) <= fam.alphabet or "UL" in s or "LU" in s:
-        return False
-    if fam.semilength and len(s) % 2:
         return False
     y = 0
     for ch in s:

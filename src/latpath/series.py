@@ -64,7 +64,7 @@ class Series:
                 cs.extend([0] * (order + 1 - len(cs)))
         elif not cs:
             raise ValueError("empty coefficient list and no order given")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self.coeffs = tuple(cs)
 
     # -- constructors ------------------------------------------------
 
@@ -161,11 +161,11 @@ class Series:
         n = min(self.order, rhs.order)
         a, b = self.coeffs, rhs.coeffs
         out = [0] * (n + 1)
-        for i in range(min(len(a) - 1, n) + 1):
+        for i in range(n + 1):
             ai = a[i]
             if ai == 0:
                 continue
-            for j in range(min(len(b) - 1, n - i) + 1):
+            for j in range(n - i + 1):
                 bj = b[j]
                 if bj != 0:
                     out[i + j] += ai * bj

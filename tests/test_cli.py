@@ -81,6 +81,14 @@ class TestTable:
         )
         assert code == EXIT_OK
 
+    def test_cross_verification_help_names_the_cap(self, capsys):
+        # cmd_table compares only the sizes up to min(n, ORACLE_CAP), so the
+        # help may not promise every printed cell
+        with pytest.raises(SystemExit):
+            main(["table", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "up to the family's oracle size cap" in text
+
     def test_dyck_table_full_reference_depth(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "dyck", "--n", "9")
         assert code == EXIT_OK

@@ -54,7 +54,7 @@ def segment_rule(steps: str, fam) -> bool:
 
 
 class TestValidate:
-    @pytest.mark.parametrize("fam", [SKEW_DYCK, SKEW_MOTZKIN])
+    @pytest.mark.parametrize("fam", [SKEW_DYCK, SKEW_MOTZKIN, DYCK, MOTZKIN])
     def test_factor_rule_equals_segment_rule(self, fam):
         for length in range(9):
             valid = set()
