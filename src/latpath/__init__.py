@@ -12,7 +12,6 @@ from .paths import (
     Pattern,
     FirstReturn,
     amplitude,
-    family,
     first_return_decompose,
     height,
     pattern_height,
@@ -55,6 +54,6 @@ from .gf import (
     system_for,
     moebius_coeffs,
 )
-from .bijection import DomainError, PatternPair, phi, verify_reversed_complement_symmetry
+from .bijection import DomainError, phi, verify_reversed_complement_symmetry
 
 __version__ = "0.1.0"

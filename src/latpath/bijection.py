@@ -16,8 +16,6 @@ domain.  Higher levels are compared through series equality only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .enumerate import _is_member
 from .gf import class_gf
 from .paths import (
@@ -36,21 +34,6 @@ from .paths import (
 
 class DomainError(Exception):
     """The map is applied outside its domain (levels 0..amplitude)."""
-
-
-@dataclass(frozen=True)
-class PatternPair:
-    """A pattern together with its reversed complement."""
-
-    pi: Pattern
-    sigma: Pattern
-
-    @classmethod
-    def of(cls, pi: Pattern | str) -> "PatternPair":
-        pi = _as_pattern(pi)
-        sigma = reversed_complement(pi)
-        assert sigma.amplitude == pi.amplitude
-        return cls(pi, sigma)
 
 
 def _holds_component(pi: str) -> bool:

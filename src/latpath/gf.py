@@ -293,8 +293,6 @@ def system_for(
     """
     pattern = _as_pattern(pattern)
     _check_alphabet(family, pattern.steps)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     r = _anchor(pattern)
     if bases is None:
         bases = tuple(base_series(family, pattern, k, order) for k in range(r + 1))

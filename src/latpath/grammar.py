@@ -152,7 +152,7 @@ def base_series(family: Family, pattern: Pattern | str, k: int, order: int) -> S
     levels = _checked_levels(family, pattern, order)
     if not 0 <= k < len(levels):
         raise ValueError(f"level {k} outside the anchor range 0..{len(levels) - 1}")
-    return Series(list(levels[k]))
+    return Series(levels[k])
 
 
 def precompute_base(family: Family, patterns, order: int) -> None:

@@ -64,13 +64,6 @@ SKEW_MOTZKIN = Family("skew-motzkin", frozenset("UDFL"), semilength=False)
 FAMILIES = {f.name: f for f in (DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN)}
 
 
-def family(name: str) -> Family:
-    try:
-        return FAMILIES[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}")
-
-
 def _steps_of(obj) -> str:
     if isinstance(obj, str):
         return obj
@@ -260,14 +253,6 @@ class FirstReturn:
     alpha: str | None = None
     beta: str | None = None
     gamma: str | None = None
-
-    def components(self) -> list[tuple[str, str]]:
-        out = []
-        for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if value is not None:
-                out.append((name, value))
-        return out
 
     def reassemble(self) -> str:
         if self.variant == "UaDb":

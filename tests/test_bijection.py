@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from latpath.bijection import (
-    DomainError, PatternPair, _holds_component, _images, _phi, phi,
+    DomainError, _holds_component, _images, _phi, phi,
     verify_reversed_complement_symmetry,
 )
 from latpath.cli import all_patterns
@@ -29,15 +29,6 @@ def level_members(fam, pattern, size, levels):
         for p in member_paths(fam, pattern, size)
         if pattern_height(p, pattern) in levels
     ]
-
-
-class TestPatternPair:
-    def test_pairing(self):
-        pair = PatternPair.of(Pattern("DUU"))
-        assert pair.sigma == Pattern("DDU")
-
-    def test_self_paired(self):
-        assert PatternPair.of(Pattern("UD")).sigma == Pattern("UD")
 
 
 class TestPhi:
@@ -228,9 +219,8 @@ class TestReversedComplementSymmetry:
         lambda pi: count_class(DYCK, pi, 6),
         lambda pi: phi(Path("UUDDUD", DYCK), pi),
         lambda pi: verify_reversed_complement_symmetry(DYCK, pi, 6),
-        lambda pi: PatternPair.of(pi),
     ],
-    ids=["system_for", "class_gf", "count_class", "phi", "symmetry", "PatternPair.of"],
+    ids=["system_for", "class_gf", "count_class", "phi", "symmetry"],
 )
 def test_step_string_acts_as_its_pattern(call):
     assert call("UUD") == call(Pattern("UUD"))

@@ -225,8 +225,22 @@ class TestVerify:
     def test_cross_level_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "cross")
         assert code == EXIT_OK
-        assert "all checks passed" in out
-        assert "FAIL" not in out
+        assert out.splitlines() == [
+            "ok    oracle agreement dyck (len<=2, order 7)",
+            "ok    quadratic residuals dyck",
+            "ok    moebius step law dyck",
+            "ok    oracle agreement motzkin (len<=1, order 8)",
+            "ok    quadratic residuals motzkin",
+            "ok    moebius step law motzkin",
+            "ok    oracle agreement skew-dyck (len<=1, order 6)",
+            "ok    quadratic residuals skew-dyck",
+            "ok    moebius step law skew-dyck",
+            "ok    oracle agreement skew-motzkin (len<=1, order 8)",
+            "ok    quadratic residuals skew-motzkin",
+            "ok    moebius step law skew-motzkin",
+            "all checks passed",
+        ]
+        assert out.endswith("\n")
 
     def test_corrupted_base_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--level", "cross", "--corrupt-base")
@@ -401,9 +415,6 @@ class TestStepLaw:
     """``step_law_holds`` on running partial sums agrees with stepping
     ``partial_sum(k - 1)`` to ``partial_sum(k)`` afresh."""
 
-    PLANS = [(FAMILIES["dyck"], 3, 8), (FAMILIES["motzkin"], 2, 9),
-             (FAMILIES["skew-dyck"], 2, 7), (FAMILIES["skew-motzkin"], 1, 9)]
-
     @staticmethod
     def afresh(g):
         return all(
@@ -420,8 +431,9 @@ class TestStepLaw:
         levels[k] = Series(top)
         return dataclasses.replace(g, per_level=tuple(levels))
 
-    @pytest.mark.parametrize("fam,max_len,order", PLANS, ids=lambda v: getattr(v, "name", None))
-    def test_agrees_with_partial_sums_afresh(self, fam, max_len, order):
+    @pytest.mark.parametrize("name,max_len,order", cli.VERIFY_PLANS["full"])
+    def test_agrees_with_partial_sums_afresh(self, name, max_len, order):
+        fam = FAMILIES[name]
         for pi in all_patterns(fam, max_len):
             g = gf.class_gf(fam, pi, order)
             assert step_law_holds(g) and self.afresh(g)

@@ -282,6 +282,15 @@ class TestClassGF:
         with pytest.raises(ValueError, match=rf"^expected {r + 1} bases, for levels 0\.\.{r}$"):
             system_for(family, pi, 5, bases=(Series.one(5),) * r)
 
+    @pytest.mark.parametrize("supplied", [False, True], ids=["grammar-bases", "supplied-bases"])
+    @pytest.mark.parametrize(
+        "family, pi", [(DYCK, "UUD"), (MOTZKIN, "F"), (SKEW_DYCK, "UL"), (SKEW_MOTZKIN, "UFL")]
+    )
+    def test_rejects_negative_order(self, family, pi, supplied):
+        bases = (Series.one(5),) * (max(Pattern(pi).amplitude, 1) + 1) if supplied else None
+        with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+            system_for(family, pi, -1, bases=bases)
+
     def test_unchecked_call_keeps_no_coefficients(self):
         checked = class_gf(SKEW_MOTZKIN, Pattern("UFL"), 12)
         unchecked = class_gf(SKEW_MOTZKIN, Pattern("UFL"), 12, check=False)

@@ -13,7 +13,6 @@ from latpath.paths import (
     Path,
     Pattern,
     amplitude,
-    family,
     first_return_decompose,
     height,
     pattern_height,
@@ -101,11 +100,6 @@ class TestValidate:
             Path("UL", SKEW_DYCK)
         with pytest.raises(ValueError):
             Path("UFD", DYCK)
-
-    def test_family_lookup(self):
-        assert family("Skew-Dyck") is SKEW_DYCK
-        with pytest.raises(ValueError):
-            family("schroeder")
 
 
 class TestFamily:
@@ -250,8 +244,8 @@ class TestFirstReturn:
             for p in generate_paths(fam, size):
                 d = first_return_decompose(p)
                 assert d.reassemble() == p.steps
-                for _name, component in d.components():
-                    assert validate(component, fam)
+                for component in (d.alpha, d.beta, d.gamma):
+                    assert component is None or validate(component, fam)
 
 
 class TestStatisticsInvariants:
