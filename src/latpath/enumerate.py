@@ -43,7 +43,6 @@ call's outcome does not depend on what the process computed before.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import compress
 
 # The anchor levels are counted by the grammar DP; importing them keeps
@@ -59,6 +58,7 @@ from .paths import (
     _first_return,
     _pattern_height,
     _prefix_extrema,
+    _Record,
     _steps_of,
     profile,
 )
@@ -402,14 +402,13 @@ def is_member(path: Path, pattern: Pattern) -> bool:
 # -- per-level counting --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassCountTable:
+class ClassCountTable(_Record):
     """Exact member counts by size n and pattern-height level k."""
 
-    family: Family
-    pattern: Pattern
-    max_size: int
-    counts: dict
+    __slots__ = ("family", "pattern", "max_size", "counts")
+
+    def __init__(self, family: Family, pattern: Pattern, max_size: int, counts: dict):
+        self.family, self.pattern, self.max_size, self.counts = family, pattern, max_size, counts
 
     def total(self, n: int) -> int:
         return sum(c for (m, _k), c in self.counts.items() if m == n)

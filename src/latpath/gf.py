@@ -9,11 +9,10 @@ computed over exact truncated series and cross-checked between routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .grammar import base_series
-from .paths import Family, Pattern, _anchor, _as_pattern, _check_alphabet
+from .paths import Family, Pattern, _anchor, _as_pattern, _check_alphabet, _Record
 from .series import Series, div, exact_quotient, moebius, rational, sqrt
 
 
@@ -34,8 +33,7 @@ class ConsistencyFailure(GFError):
     """Two independent computation routes disagree."""
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(_Record):
     """Data defining the level system: p, q, the anchor index r and bases.
 
     ``bases[k]`` anchors level k for k = 0..r; the recurrence produces all
@@ -43,12 +41,10 @@ class SystemSpec:
     at least one order of x per level.
     """
 
-    p: Series
-    q: Series
-    r: int
-    bases: tuple
+    __slots__ = ("p", "q", "r", "bases")
 
-    def __post_init__(self):
+    def __init__(self, p: Series, q: Series, r: int, bases: tuple):
+        self.p, self.q, self.r, self.bases = p, q, r, bases
         if self.r < 0:
             raise ValueError("r must be >= 0")
         if len(self.bases) != self.r + 1:
@@ -68,30 +64,25 @@ class SystemSpec:
         return acc
 
 
-@dataclass(frozen=True)
-class MoebiusCoeffs:
+class MoebiusCoeffs(_Record):
     """The four series driving the step law B_k = (a + b*B_{k-1}) / (c + d*B_{k-1})."""
 
-    a: Series
-    b: Series
-    c: Series
-    d: Series
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: Series, b: Series, c: Series, d: Series):
+        self.a, self.b, self.c, self.d = a, b, c, d
 
 
-@dataclass(frozen=True)
-class ClassGF:
+class ClassGF(_Record):
     """Total and per-level generating functions of one class instance, the
     Moebius coefficients whose quadratic ``class_gf`` checked A against,
     and the anchor level r of the system they were iterated from."""
 
-    family: Family | None
-    pattern: Pattern | None
-    u: Series
-    v: Series
-    A: Series
-    per_level: tuple
-    coeffs: MoebiusCoeffs | None = None
-    r: int | None = None
+    __slots__ = ("family", "pattern", "u", "v", "A", "per_level", "coeffs", "r")
+
+    def __init__(self, family, pattern, u, v, A, per_level: tuple, coeffs=None, r=None):
+        self.family, self.pattern, self.u, self.v, self.A = family, pattern, u, v, A
+        self.per_level, self.coeffs, self.r = per_level, coeffs, r
 
     def level(self, k: int) -> Series:
         if k < 0:

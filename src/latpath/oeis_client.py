@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+
+from .paths import _Record
 
 SEARCH_URL = "https://oeis.org/search"
 CACHE_ENV_VAR = "LATPATH_OEIS_CACHE"
@@ -32,13 +32,11 @@ class MalformedResponse(Exception):
     """The OEIS endpoint returned something unparseable."""
 
 
-@dataclass(frozen=True)
-class OeisEntry:
-    a_number: str
-    terms: tuple
-    name: str = ""
+class OeisEntry(_Record):
+    __slots__ = ("a_number", "terms", "name")
 
-    def __post_init__(self):
+    def __init__(self, a_number: str, terms: tuple, name: str = ""):
+        self.a_number, self.terms, self.name = a_number, terms, name
         if not _A_NUMBER_RE.match(self.a_number):
             raise ValueError(f"bad A-number {self.a_number!r}")
         if not self.terms:
@@ -63,6 +61,9 @@ def _entry(doc) -> OeisEntry:
 
 
 def load_fixtures() -> list[OeisEntry]:
+    # Imported here: from Python 3.12 it pulls in inspect at every start-up.
+    from importlib import resources
+
     raw = resources.files("latpath").joinpath("data/oeis_fixtures.json").read_text()
     return [_entry(e) for e in json.loads(raw)["entries"]]
 
@@ -96,12 +97,7 @@ def append_cache(path: Path, entries) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a") as fh:
         for e in entries:
-            fh.write(
-                json.dumps(
-                    {"a_number": e.a_number, "terms": list(e.terms), "name": e.name}
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"a_number": e.a_number, "terms": e.terms, "name": e.name}) + "\n")
 
 
 def _http_transport(query: str) -> dict:

@@ -11,14 +11,29 @@ keeps x - y non-decreasing, so x >= y >= 0 holds automatically.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DISPLACEMENT = {"U": (1, 1), "D": (1, -1), "F": (1, 0), "L": (-1, -1)}
 STEP_KINDS = "UDFL"
 
 
-@dataclass(frozen=True)
-class Family:
+class _Record:
+    """Field equality, hashing and repr from ``__slots__``; fields are set once, in ``__init__``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({args})"
+
+
+class Family(_Record):
     """A path family: its name, step alphabet and size convention.
 
     ``semilength`` selects the size unit: Dyck and skew Dyck paths are
@@ -28,12 +43,11 @@ class Family:
     every route reads; a step outside UDFL, or F sized by semilength, is refused.
     """
 
-    name: str
-    alphabet: frozenset
-    semilength: bool
+    __slots__ = ("name", "alphabet", "semilength")
 
-    def __post_init__(self):
-        if not set(self.alphabet) <= set(STEP_KINDS):
+    def __init__(self, name: str, alphabet, semilength: bool):
+        self.name, self.alphabet, self.semilength = name, frozenset(alphabet), semilength
+        if not self.alphabet <= set(STEP_KINDS):
             raise ValueError(f"family {self.name!r}: steps outside {STEP_KINDS}")
         if self.semilength and "F" in self.alphabet:
             raise ValueError(f"family {self.name!r}: F steps have no size in a semilength family")
@@ -102,14 +116,13 @@ def validate(steps, fam: Family) -> bool:
     return y == 0
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """A validated path of a family."""
 
-    steps: str
-    family: Family
+    __slots__ = ("steps", "family")
 
-    def __post_init__(self):
+    def __init__(self, steps: str, family: Family):
+        self.steps, self.family = steps, family
         if not validate(self.steps, self.family):
             raise ValueError(f"not a valid {self.family.name} path: {self.steps!r}")
 
@@ -124,13 +137,13 @@ class Path:
         return f"Path({self.steps!r}, {self.family.name})"
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Record):
     """A nonempty step sequence; it need not return to the axis."""
 
-    steps: str
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps: str):
+        self.steps = steps
         if not self.steps:
             raise ValueError("a pattern has length >= 1")
         bad = set(self.steps) - set(STEP_KINDS)
@@ -239,8 +252,7 @@ def reversed_complement(obj):
     return rc
 
 
-@dataclass(frozen=True)
-class FirstReturn:
+class FirstReturn(_Record):
     """First-return decomposition of a nonempty path.
 
     ``variant`` is one of ``"UaDb"`` (U alpha D beta), ``"Fg"`` (F gamma),
@@ -248,11 +260,11 @@ class FirstReturn:
     that do not occur in the variant are None.
     """
 
-    variant: str
-    family: Family
-    alpha: str | None = None
-    beta: str | None = None
-    gamma: str | None = None
+    __slots__ = ("variant", "family", "alpha", "beta", "gamma")
+
+    def __init__(self, variant: str, family: Family, alpha=None, beta=None, gamma=None):
+        self.variant, self.family = variant, family
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
 
     def reassemble(self) -> str:
         if self.variant == "UaDb":

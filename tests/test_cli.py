@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -103,7 +102,7 @@ class TestTable:
         def swapped(*args, **kwargs):
             g = real(*args, **kwargs)
             a0, a1, *rest = g.per_level
-            return dataclasses.replace(g, per_level=(a1, a0, *rest))
+            return gf.ClassGF(g.family, g.pattern, g.u, g.v, g.A, (a1, a0, *rest), g.coeffs, g.r)
 
         monkeypatch.setattr(cli, "class_gf", swapped)
         code, _, err = run(
@@ -133,8 +132,8 @@ class TestTable:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda spec: dataclasses.replace(spec, q=spec.q + 1),
-            lambda spec: dataclasses.replace(spec, p=spec.p * Series.x(spec.p.order)),
+            lambda spec: gf.SystemSpec(spec.p, spec.q + 1, spec.r, spec.bases),
+            lambda spec: gf.SystemSpec(spec.p * Series.x(spec.p.order), spec.q, spec.r, spec.bases),
         ],
         ids=["q+1", "p*x"],
     )
@@ -429,7 +428,7 @@ class TestStepLaw:
         top = list(levels[k].coeffs)
         top[-1] += 1
         levels[k] = Series(top)
-        return dataclasses.replace(g, per_level=tuple(levels))
+        return gf.ClassGF(g.family, g.pattern, g.u, g.v, g.A, tuple(levels), g.coeffs, g.r)
 
     @pytest.mark.parametrize("name,max_len,order", cli.VERIFY_PLANS["full"])
     def test_agrees_with_partial_sums_afresh(self, name, max_len, order):

@@ -1,14 +1,21 @@
-import dataclasses
 import itertools
+import pickle
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
+from latpath.enumerate import ClassCountTable, count_class, generate_paths
+from latpath.gf import ClassGF, MoebiusCoeffs, SystemSpec, class_gf
+from latpath.oeis_client import OeisEntry
 from latpath.paths import (
     DYCK,
     MOTZKIN,
     SKEW_DYCK,
     SKEW_MOTZKIN,
     FAMILIES,
+    FirstReturn,
     Family,
     Path,
     Pattern,
@@ -20,7 +27,7 @@ from latpath.paths import (
     reversed_complement,
     validate,
 )
-from latpath.enumerate import generate_paths
+from latpath.series import Series
 
 ALL_FAMILIES = [DYCK, MOTZKIN, SKEW_DYCK, SKEW_MOTZKIN]
 
@@ -123,7 +130,79 @@ class TestFamily:
         # equality and hashing see only name, alphabet and semilength
         twin = Family("dyck", frozenset("UD"), semilength=True)
         assert twin == DYCK and hash(twin) == hash(DYCK)
-        assert [f.name for f in dataclasses.fields(Family)] == ["name", "alphabet", "semilength"]
+        assert Family.__slots__ == ("name", "alphabet", "semilength")
+
+    @pytest.mark.parametrize("alphabet", ["UD", {"U", "D"}, ["U", "D"]], ids=["str", "set", "list"])
+    def test_any_iterable_alphabet_is_kept_as_a_frozenset(self, alphabet):
+        fam = Family("dyck", alphabet, True)
+        assert fam == DYCK and hash(fam) == hash(DYCK)
+        assert type(fam.alphabet) is frozenset
+        g, table = class_gf(fam, "UUD", 6), count_class(fam, "UUD", 6)
+        assert g.A.int_coeffs()[1:] == table.totals()
+        for k in range(max(len(g.per_level), table.max_level() + 1)):
+            assert g.level(k).int_coeffs() == table.level(k)
+
+
+def _x():
+    return Series.x(4)
+
+
+# Each record built by make(value) from fresh field objects, and a value for
+# one field that makes it differ; ClassCountTable holds a dict and so, as
+# with the dataclass it replaced, has no hash.
+RECORDS = [
+    (lambda v: Family(v, frozenset("UD"), True), "dyck", "dyck-2"),
+    (lambda v: Path(v, Family("dyck", frozenset("UD"), True)), "UD", "UUDD"),
+    (Pattern, "UD", "DU"),
+    (lambda v: FirstReturn("Fg", Family("motzkin", frozenset("UDF"), False), gamma=v), "F", "FF"),
+    (lambda v: SystemSpec(_x(), Series.constant(v, 4), 0, (Series.one(4),)), 0, 1),
+    (lambda v: MoebiusCoeffs(a=Series.constant(v, 4), b=_x(), c=Series.one(4), d=_x()), 1, 2),
+    (lambda v: ClassGF(DYCK, Pattern("UD"), _x(), _x(), _x(), (_x(),), None, r=v), 1, 2),
+    (lambda v: ClassCountTable(DYCK, Pattern("UD"), 2, {(1, 1): v}), 1, 2),
+    (lambda v: OeisEntry(v, (1, 1, 2, 5), "Catalan"), "A000108", "A000109"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, value, other", RECORDS, ids=[type(m(v)).__name__ for m, v, _ in RECORDS]
+)
+def test_records_are_values(make, value, other):
+    record, twin, changed = make(value), make(value), make(other)
+    assert record == twin and record is not twin
+    assert record != changed and not record == changed
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert record != tuple(getattr(record, f) for f in type(record).__slots__)
+    if isinstance(record, ClassCountTable):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+
+
+def test_record_reprs():
+    assert repr(DYCK) == "Family(dyck)"
+    assert repr(Path("UD", DYCK)) == "Path('UD', dyck)"
+    assert repr(Pattern("UD")) == "Pattern('UD')"
+    assert repr(OeisEntry("A000108", (1, 1, 2), "Catalan")) == (
+        "OeisEntry(a_number='A000108', terms=(1, 1, 2), name='Catalan')"
+    )
+    assert repr(first_return_decompose(Path("FUD", MOTZKIN))) == (
+        "FirstReturn(variant='Fg', family=Family(motzkin), alpha=None, beta=None, gamma='UD')"
+    )
+
+
+def test_import_loads_no_dataclasses():
+    # importing the package and its CLI stays clear of dataclasses and the
+    # inspect machinery it pulls in; the difference of sys.modules ignores
+    # whatever the interpreter's site set-up loaded before
+    src = FilePath(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules); "
+        "import latpath, latpath.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 class TestHeight:
