@@ -11,7 +11,6 @@ from .paths import (
     Path,
     Pattern,
     FirstReturn,
-    amplitude,
     first_return_decompose,
     height,
     pattern_height,
@@ -45,7 +44,6 @@ from .gf import (
     NonUnitLinearCoefficient,
     SystemSpec,
     class_gf,
-    default_order,
     dyck_closed_form,
     iterate_system,
     residual,

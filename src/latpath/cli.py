@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import bijection, enumerate as brute, oeis_client
-from .gf import ConsistencyFailure, class_gf, default_order, moebius_step, residual, system_for
+from .gf import ConsistencyFailure, class_gf, moebius_step, residual, system_for
 from .paths import (
     FAMILIES, Family, Pattern, _check_alphabet, _prefix_extrema, reversed_complement,
 )
@@ -28,6 +28,8 @@ EXIT_INCONSISTENT = 3
 EXIT_BAD_INPUT = 4
 
 DEFAULT_TABLE_N = {"dyck": 9, "motzkin": 9, "skew-dyck": 9, "skew-motzkin": 11}
+# series' truncation order: the smallest covering the reference tables with margin
+DEFAULT_ORDER = {"dyck": 11, "motzkin": 12, "skew-dyck": 11, "skew-motzkin": 12}
 DEFAULT_PATTERN_LEN = {"dyck": 3, "motzkin": 2, "skew-dyck": 2, "skew-motzkin": 1}
 ORACLE_CAP = {"dyck": 8, "motzkin": 9, "skew-dyck": 6, "skew-motzkin": 9}
 # verify's plans per level: (family name, longest pattern, order)
@@ -95,10 +97,11 @@ def build_table(fam: Family, max_len: int, n: int) -> tuple[list[dict], list]:
     return rows, classes
 
 
-def verify_table_cells(classes, cap: int, budget=None) -> bool:
+def verify_table_cells(classes, n: int, budget=None) -> bool:
     """Whether the totals and every level of each solved class equal the
-    exhaustive oracle's up to size cap."""
+    exhaustive oracle's up to size n, or the family's oracle cap if lower."""
     for gf in classes:
+        cap = min(n, ORACLE_CAP[gf.family.name])
         table = brute.count_class(gf.family, gf.pattern, cap, budget=budget)
         if gf.A.int_coeffs()[1 : cap + 1] != table.totals():
             return False
@@ -140,7 +143,7 @@ def cmd_table(args) -> int:
     budget = path_budget(args.budget)
     rows, classes = build_table(fam, max_len, n)
     if args.verify_level != "none":
-        if not verify_table_cells(classes, min(n, ORACLE_CAP[fam.name]), budget=budget):
+        if not verify_table_cells(classes, n, budget=budget):
             print("table cells disagree with the exhaustive oracle", file=sys.stderr)
             return EXIT_INCONSISTENT
     sys.stdout.write(render_table(rows, fam, n, args.format))
@@ -162,7 +165,7 @@ def cmd_series(args) -> int:
     fam = FAMILIES[args.family]
     order = at_least("--order", args.order, 0)
     if order is None:
-        order = default_order(fam)
+        order = DEFAULT_ORDER[fam.name]
     at_least("--level", args.level, 0)
     pattern = parse_pattern(fam, args.pattern)
     gf = class_gf(fam, pattern, order)
@@ -229,7 +232,7 @@ def _verification_checks(level: str, corrupt_base: bool):
         )
         yield (
             f"oracle agreement {fam.name} (len<={max_len}, order {order})",
-            lambda: verify_table_cells(solved(), min(order, ORACLE_CAP[fam.name])),
+            lambda: verify_table_cells(solved(), order),
         )
         yield (
             f"quadratic residuals {fam.name}",
@@ -313,7 +316,7 @@ def cmd_oeis(args) -> int:
         entries = oeis_client.lookup(terms, mode=args.mode, cache_path=args.cache)
     except (oeis_client.NetworkUnavailable, oeis_client.MalformedResponse) as exc:
         print(f"warning: OEIS search failed ({exc}); falling back to cache", file=sys.stderr)
-        entries = oeis_client.lookup(terms, mode="cache-only", cache_path=args.cache)
+        entries = []  # lookup asks the network only when fixtures and cache hold no match
     except OSError as exc:  # reading is forgiving, so this is appending new entries
         path = args.cache or oeis_client.default_cache_path()
         raise BadInput(f"cannot write the OEIS cache {path}: {exc.strerror or exc}") from None

@@ -173,8 +173,8 @@ def _search(pi: str, highest: int) -> tuple | None:
     # letter pi lacks is left as it is, since no match of pi can hold it.
     if not pi:
         return None
-    mp = _prefix_extrema(pi)[0]
-    low = min(profile(pi)[:-1])
+    prof = profile(pi)
+    mp, low = max(prof), min(prof[:-1])
     tables = []
     for f in range(highest + 1):
         t = 4 * max(f + 1 - mp + low, 0)

@@ -262,11 +262,6 @@ def dyck_duu_bases(order: int) -> tuple:
     return (a0, a1, a2)
 
 
-def default_order(family: Family) -> int:
-    """Smallest truncation orders covering the reference tables with margin."""
-    return 11 if family.semilength else 12
-
-
 def system_for(
     family: Family,
     pattern: Pattern | str,

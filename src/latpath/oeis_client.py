@@ -78,17 +78,17 @@ def default_cache_path() -> Path:
 def read_cache(path: Path) -> list[OeisEntry]:
     entries = []
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError:
         return entries
-    for line in text.splitlines():
+    for line in data.splitlines():
         line = line.strip()
         if not line:
             continue
         try:
             entries.append(_entry(json.loads(line)))
         except (ValueError, KeyError, TypeError):
-            continue  # a torn line never poisons the cache
+            continue  # a torn or undecodable line never poisons the cache
     return entries
 
 

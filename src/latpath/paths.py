@@ -152,7 +152,11 @@ class Pattern(_Record):
 
     @property
     def amplitude(self) -> int:
-        return amplitude(self)
+        """Height of the pattern as a walk shifted to touch the x-axis:
+        its highest prefix ordinate less its lowest, prefixes including the
+        starting value 0."""
+        mx, mn = _prefix_extrema(self.steps)
+        return mx - mn
 
     def __repr__(self) -> str:
         return f"Pattern({self.steps!r})"
@@ -177,24 +181,8 @@ def height(path) -> int:
 
 
 def _prefix_extrema(steps: str) -> tuple[int, int]:
-    y = mx = mn = 0
-    for ch in steps:
-        y += DISPLACEMENT[ch][1]
-        if y > mx:
-            mx = y
-        elif y < mn:
-            mn = y
-    return mx, mn
-
-
-def amplitude(pattern) -> int:
-    """Height of the pattern as a walk shifted to touch the x-axis.
-
-    Equals (max prefix ordinate) - (min prefix ordinate), prefixes
-    including the starting value 0.
-    """
-    mx, mn = _prefix_extrema(_steps_of(pattern))
-    return mx - mn
+    prof = profile(steps)
+    return max(prof), min(prof)
 
 
 def _anchor(pattern) -> int:
@@ -203,7 +191,7 @@ def _anchor(pattern) -> int:
     pattern, which level k - 1 only guarantees for k - 1 >= 1.  For
     patterns of positive amplitude that is the usual anchor; for all-flat
     patterns level 1 is counted as well.  Takes a Pattern or step string."""
-    return max(amplitude(pattern), 1)
+    return max(_as_pattern(pattern).amplitude, 1)
 
 
 def pattern_height(path, pattern) -> int:

@@ -219,6 +219,13 @@ class TestSeries:
         )
         assert out == "0,1\n1,1\n2,2\n3,4\n"
 
+    @pytest.mark.parametrize(
+        "name,order", [("dyck", 11), ("motzkin", 12), ("skew-dyck", 11), ("skew-motzkin", 12)]
+    )
+    def test_default_order(self, capsys, name, order):
+        _, out, _ = run(capsys, "series", "--family", name, "--pattern", "U", "--format", "b-file")
+        assert out.splitlines()[-1].split()[0] == str(order)
+
 
 class TestVerify:
     def test_cross_level_passes(self, capsys):
@@ -496,9 +503,20 @@ class TestOeis:
             capsys, "oeis", "--mode", "network", "--from-series", "9,9,9,9,9,9",
         )
         assert code == EXIT_OK
-        assert calls == ["network", "cache-only"]
+        assert calls == ["network"]
         assert "warning" in err.lower()
         assert "no match" in out
+
+    def test_undecodable_cache_line_is_skipped(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(
+            b'{"a_number": "A999999", "terms": [9, 9, 9, 9, 9, 9, 9], "name": "nines"}\n\xff\n'
+        )
+        code, out, err = run(
+            capsys, "oeis", "--mode", "cache-only", "--cache", str(cache),
+            "--from-series", "9,9,9,9,9,9",
+        )
+        assert (code, out, err) == (EXIT_OK, "A999999 nines\n", "")
 
     @pytest.mark.parametrize(
         "transport,reason",

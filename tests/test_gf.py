@@ -10,7 +10,6 @@ from latpath.gf import (
     NonUnitLinearCoefficient,
     SystemSpec,
     class_gf,
-    default_order,
     dyck_closed_form,
     dyck_duu_bases,
     dyck_uud_bases,
@@ -257,10 +256,6 @@ class TestClassGF:
     def test_rejects_pattern_outside_alphabet(self):
         with pytest.raises(ValueError):
             class_gf(DYCK, Pattern("UF"), 6)
-
-    def test_default_orders(self):
-        assert default_order(DYCK) == 11
-        assert default_order(MOTZKIN) == 12
 
     def test_per_level_sums_to_total(self):
         g = class_gf(MOTZKIN, Pattern("F"), 9)

@@ -103,6 +103,13 @@ class TestCacheOnlyMode:
             OeisEntry("A000003", (4, 5, 6), "third"),
         ]
 
+    def test_undecodable_line_is_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        append_cache(path, [OeisEntry("A999999", (9, 9, 9, 9, 9, 9, 9), "nines")])
+        with path.open("ab") as fh:
+            fh.write(b"\xff\n")
+        assert read_cache(path) == [OeisEntry("A999999", (9, 9, 9, 9, 9, 9, 9), "nines")]
+
     def test_cache_path_from_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LATPATH_OEIS_CACHE", str(tmp_path / "mine.jsonl"))
         assert default_cache_path() == tmp_path / "mine.jsonl"

@@ -19,7 +19,6 @@ from latpath.paths import (
     Family,
     Path,
     Pattern,
-    amplitude,
     first_return_decompose,
     height,
     pattern_height,
@@ -250,7 +249,7 @@ class TestAmplitude:
          ("L", 1), ("LL", 2), ("UD", 1), ("DU", 1)],
     )
     def test_values(self, pi, expected):
-        assert amplitude(Pattern(pi)) == expected
+        assert Pattern(pi).amplitude == expected
 
     def test_pattern_nonempty(self):
         with pytest.raises(ValueError):
@@ -282,7 +281,7 @@ class TestReversedComplement:
             for pi in map("".join, itertools.product("UDF", repeat=length)):
                 rc = reversed_complement(pi)
                 assert reversed_complement(rc) == pi
-                assert amplitude(Pattern(rc)) == amplitude(Pattern(pi))
+                assert Pattern(rc).amplitude == Pattern(pi).amplitude
 
     def test_path_roundtrip(self):
         p = Path("UUDD", DYCK)

@@ -256,6 +256,19 @@ class TestRepresentation:
             s.int_coeffs()
         assert Series([Fraction(4, 2), True, 3], 3).int_coeffs() == [2, 1, 3, 0]
 
+    @pytest.mark.parametrize(
+        "series,text",
+        [
+            (Series.zero(2), "<0 + O(x^3)>"),
+            (Series([1, -1, 2], 2), "<1 + -1*x + 2*x^2 + O(x^3)>"),
+            (Series.x(3), "<x + O(x^4)>"),
+            (Series([Fraction(1, 2), 0, 3], 2), "<1/2 + 3*x^2 + O(x^3)>"),
+        ],
+        ids=["zero", "signed", "x", "fraction"],
+    )
+    def test_repr(self, series, text):
+        assert repr(series) == text
+
 
 mixed_st = st.one_of(st.integers(min_value=-5, max_value=5), fractions_st)
 
